@@ -55,7 +55,8 @@ def _load_state(spec: str, n: int | None) -> StateVec:
 
 def _load_matrix(path: str) -> np.ndarray:
     """A unitary from a qcircuit file, or a whitespace matrix of re:im entries."""
-    text = open(path).read()
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     first = next((ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")), "")
     if first == fileio.CIRCUIT_MAGIC:
         return circuit_to_matrix(fileio.parse_circuit(text))
@@ -356,10 +357,7 @@ def main(argv=None) -> int:
     out = _Out(args.format)
     try:
         args.fn(args, out)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -16,6 +16,8 @@ from .tensor import Circuit, ControlledGate, LocalGate, PhaseOnZero, StateVec
 
 STATE_MAGIC = "qstate v1"
 CIRCUIT_MAGIC = "qcircuit v1"
+# Control field of a ctrl line with no controls.
+NO_CONTROLS = "-"
 PROBLEM_MAGIC = "qproblem v1"
 
 
@@ -91,7 +93,7 @@ def format_circuit(circuit: Circuit) -> str:
             entries = " ".join(_fmt_entry(z) for z in gate.matrix.reshape(-1))
             lines.append(f"local {pos} {entries}")
         elif isinstance(gate, ControlledGate):
-            ctrls = ",".join(f"{q}:{p}" for q, p in gate.controls)
+            ctrls = ",".join(f"{q}:{p}" for q, p in gate.controls) or NO_CONTROLS
             entries = " ".join(_fmt_entry(z) for z in gate.matrix.reshape(-1))
             lines.append(f"ctrl {ctrls} {gate.target} {entries}")
         elif isinstance(gate, PhaseOnZero):
@@ -117,10 +119,14 @@ def _parse_gate(line: str):
             raise ParseError(f"expected {dim * dim} matrix entries, got {len(entries)}")
         return LocalGate(positions, np.array(entries).reshape(dim, dim))
     if kind == "ctrl":
+        if len(toks) == 6:
+            # Written by versions that left the control field of a
+            # zero-control gate empty.
+            toks.insert(1, NO_CONTROLS)
         if len(toks) != 7:
             raise ParseError(f"bad ctrl gate line {line!r}")
         controls = []
-        for part in toks[1].split(","):
+        for part in [] if toks[1] == NO_CONTROLS else toks[1].split(","):
             qp = part.split(":")
             if len(qp) != 2:
                 raise ParseError(f"bad control token {part!r}")
@@ -190,7 +196,7 @@ def parse_problem(text: str):
 # ------------------------------------------------------------ path layer
 
 def read_state(path) -> StateVec:
-    return parse_state(Path(path).read_text())
+    return parse_state(Path(path).read_text(encoding="utf-8"))
 
 
 def write_state(path, state: StateVec) -> None:
@@ -198,7 +204,7 @@ def write_state(path, state: StateVec) -> None:
 
 
 def read_circuit(path) -> Circuit:
-    return parse_circuit(Path(path).read_text())
+    return parse_circuit(Path(path).read_text(encoding="utf-8"))
 
 
 def write_circuit(path, circuit: Circuit) -> None:
@@ -206,7 +212,7 @@ def write_circuit(path, circuit: Circuit) -> None:
 
 
 def read_problem(path):
-    return parse_problem(Path(path).read_text())
+    return parse_problem(Path(path).read_text(encoding="utf-8"))
 
 
 def write_problem(path, problem) -> None:

@@ -11,7 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .tensor import Circuit, DomainError, StateVec, apply_circuit, measure_prefix
+import numpy as np
+
+from .tensor import BLOCK_AMPS, Circuit, DomainError, basis_columns
+
+# Unused here, but perfbench/spans.py wraps them by name in this module.
+from .tensor import apply_circuit, measure_prefix  # noqa: F401
 
 
 def _checked_table(n: int, f: dict, out_bits: int) -> dict[int, int]:
@@ -69,10 +74,22 @@ class Advantage:
     q: float | None
 
 
-def _input_state(circuit: Circuit, problem_n: int, b: int) -> StateVec:
-    if circuit.n < problem_n:
-        raise DomainError(f"circuit has {circuit.n} qubits, problem needs {problem_n}")
-    return StateVec.basis(circuit.n, b)
+def _worst_case_prob(circuit: Circuit, problem, l: int) -> float:
+    """Smallest probability, over the domain, that the first l output bits
+    read f(b) when the circuit runs on |b>; the inputs run through the
+    circuit together, in blocks of at most BLOCK_AMPS amplitudes."""
+    if circuit.n < problem.n:
+        raise DomainError(f"circuit has {circuit.n} qubits, problem needs {problem.n}")
+    domain = problem.domain
+    per_block = max(1, BLOCK_AMPS >> circuit.n)
+    p_star = 1.0
+    for start in range(0, len(domain), per_block):
+        inputs = domain[start:start + per_block]
+        out = basis_columns(circuit, inputs)
+        probs = (np.abs(out) ** 2).reshape(-1, 1 << l, len(inputs)).sum(axis=0)
+        wanted = probs[[problem.f[b] for b in inputs], np.arange(len(inputs))]
+        p_star = min(p_star, float(wanted.min()))
+    return p_star
 
 
 def decision_advantage(circuit: Circuit, problem: DecisionProblem) -> Advantage:
@@ -80,11 +97,7 @@ def decision_advantage(circuit: Circuit, problem: DecisionProblem) -> Advantage:
 
     q = 1 / (2 p* - 1) when p* > 1/2, else None.
     """
-    p_star = 1.0
-    for b in problem.domain:
-        out = apply_circuit(circuit, _input_state(circuit, problem.n, b))
-        p_b = float(measure_prefix(out, 1).probs[problem.f[b]])
-        p_star = min(p_star, p_b)
+    p_star = _worst_case_prob(circuit, problem, 1)
     q = 1.0 / (2 * p_star - 1) if p_star > 0.5 else None
     return Advantage(p_star, q)
 
@@ -94,11 +107,7 @@ def guess_advantage(circuit: Circuit, problem: GuessProblem) -> Advantage:
 
     q = 1 / p* when p* > 0, else None.
     """
-    p_star = 1.0
-    for b in problem.domain:
-        out = apply_circuit(circuit, _input_state(circuit, problem.n, b))
-        p_b = float(measure_prefix(out, problem.n).probs[problem.f[b]])
-        p_star = min(p_star, p_b)
+    p_star = _worst_case_prob(circuit, problem, problem.n)
     q = 1.0 / p_star if p_star > 0 else None
     return Advantage(p_star, q)
 

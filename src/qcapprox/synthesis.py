@@ -22,6 +22,7 @@ from .tensor import (
     PhaseOnZero,
     StateVec,
     apply_circuit,
+    basis_columns,
     circuit_dagger,
 )
 
@@ -174,10 +175,8 @@ def synthesize_transitive(targets: OrthoSeq) -> SynthesisReport:
         angle = float(np.angle(lam[j]))
         gates.extend(_phase_factor_gates(StateVec(n, vecs[:, j]), angle))
     circuit = Circuit(n, tuple(gates))
-    residual = 0.0
-    for i in range(k):
-        out = apply_circuit(circuit, StateVec.basis(n, i))
-        residual = max(residual, float(np.linalg.norm(out.amps - targets.states[i].amps)))
+    out = basis_columns(circuit, range(k))
+    residual = float(np.linalg.norm(out - rows.T, axis=0).max())
     return _report(circuit, residual)
 
 

@@ -12,6 +12,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+# Checks against these are written `not x <= tol`, so that NaN fails them.
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-9
 
@@ -19,6 +20,9 @@ UNITARY_TOL = 1e-9
 DENSE_QUBIT_CAP = 10
 # State-only simulation cap (2**24 amplitudes = 256 MiB of complex128).
 SIM_QUBIT_CAP = 24
+# Columns run through a circuit together are batched up to this many
+# amplitudes (16 MiB of complex128), the size of one 20-qubit state.
+BLOCK_AMPS = 1 << 20
 
 
 class DomainError(ValueError):
@@ -40,7 +44,7 @@ def _check_unitary(matrix: np.ndarray, name: str, tol: float = UNITARY_TOL) -> n
     if d == 0 or d & (d - 1):
         raise DomainError(f"{name} must have power-of-two dimension, got {d}")
     err = np.linalg.norm(m.conj().T @ m - np.eye(d))
-    if err > tol:
+    if not err <= tol:
         raise DomainError(f"{name} is not unitary (Frobenius defect {err:.3e} > {tol:.0e})")
     return m
 
@@ -59,7 +63,7 @@ class StateVec:
         if amps.shape[0] != 1 << self.n:
             raise DomainError(f"expected {1 << self.n} amplitudes, got {amps.shape[0]}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise DomainError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL:.0e}")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
@@ -67,12 +71,12 @@ class StateVec:
     @staticmethod
     def zero(n: int) -> "StateVec":
         """The all-zeros basis state |0...0>."""
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[0] = 1.0
-        return StateVec(n, amps)
+        return StateVec.basis(n, 0)
 
     @staticmethod
     def basis(n: int, b: int) -> "StateVec":
+        if not 1 <= n <= SIM_QUBIT_CAP:
+            raise DomainError(f"basis states need 1 <= n <= {SIM_QUBIT_CAP} qubits, got {n}")
         if not 0 <= b < 1 << n:
             raise DomainError(f"basis index {b} out of range for n={n}")
         amps = np.zeros(1 << n, dtype=complex)
@@ -95,7 +99,7 @@ class Distribution:
             raise DomainError(f"negative probability {p.min()!r}")
         np.clip(p, 0.0, None, out=p)
         total = p.sum()
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
@@ -238,106 +242,84 @@ class Circuit:
 
 def embed_gate(gate: Gate, n: int, dense_cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     """Full 2**n x 2**n unitary of a single gate on an n-qubit register."""
-    if n > dense_cap:
-        raise DomainError(f"dense matrix for n={n} exceeds cap {dense_cap}")
-    dim = 1 << n
-    bad = [q for q in gate_qubits(gate) if not 0 <= q < n]
-    if bad:
-        raise DomainError(f"gate touches qubit(s) {bad} outside [0, {n})")
-
-    if isinstance(gate, PhaseOnZero):
-        u = np.eye(dim, dtype=complex)
-        u[0, 0] = np.exp(1j * gate.w)
-        return u
-
-    if isinstance(gate, ControlledGate):
-        u = np.eye(dim, dtype=complex)
-        idx = np.arange(dim)
-        fire = np.ones(dim, dtype=bool)
-        for q, pol in gate.controls:
-            fire &= ((idx >> q) & 1) == pol
-        i0 = idx[fire & (((idx >> gate.target) & 1) == 0)]
-        i1 = i0 | (1 << gate.target)
-        m = gate.matrix
-        u[i0, i0] = m[0, 0]
-        u[i0, i1] = m[0, 1]
-        u[i1, i0] = m[1, 0]
-        u[i1, i1] = m[1, 1]
-        return u
-
-    # Local gate: conjugate a kron-with-identity block by the permutation
-    # that packs the gate positions into the low-order bits.
-    g = gate.arity
-    rest = [q for q in range(n) if q not in gate.positions]
-    idx = np.arange(dim)
-    packed = np.zeros(dim, dtype=np.int64)
-    for j, q in enumerate(gate.positions):
-        packed |= ((idx >> q) & 1) << j
-    for j, q in enumerate(rest):
-        packed |= ((idx >> q) & 1) << (g + j)
-    k = np.kron(np.eye(1 << (n - g), dtype=complex), gate.matrix)
-    return np.ascontiguousarray(k[np.ix_(packed, packed)])
+    return circuit_to_matrix(Circuit(n, (gate,)), dense_cap)
 
 
-def _apply_local(amps: np.ndarray, n: int, gate: LocalGate) -> np.ndarray:
-    g = gate.arity
-    # Axis k of the reshaped tensor is bit n-1-k of the index.
-    axes = [n - 1 - q for q in gate.positions]
-    mr = gate.matrix.reshape([2] * (2 * g))
-    # Input axes of mr run over local bits g-1..0; line the state axes up.
-    state_axes = [axes[g - 1 - i] for i in range(g)]
-    t = np.tensordot(mr, amps.reshape([2] * n), axes=(list(range(g, 2 * g)), state_axes))
-    t = np.moveaxis(t, list(range(g)), state_axes)
-    return t.reshape(-1)
+def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
+    """Apply gates in order to every column of a (2**n, B) block.
+
+    The block is viewed as a [2]*n + [B] tensor whose axis n-1-q is qubit
+    q. Controlled and phase-on-zero gates update that view in place; a
+    local gate contracts into a fresh tensor. Returns the (2**n, B) result,
+    which may share memory with `block`.
+    """
+    t = block.reshape([2] * n + [block.shape[1]])
+    for gate in gates:
+        if isinstance(gate, ControlledGate):
+            # Length-1 slices keep every index basic, so both halves are
+            # views of t and the updates land in it.
+            index = [slice(None)] * (n + 1)
+            for q, pol in gate.controls:
+                index[n - 1 - q] = slice(pol, pol + 1)
+            axis = n - 1 - gate.target
+            index[axis] = slice(0, 1)
+            v0 = t[tuple(index)]
+            index[axis] = slice(1, 2)
+            v1 = t[tuple(index)]
+            m = gate.matrix
+            new0 = m[0, 0] * v0
+            new0 += m[0, 1] * v1
+            v1 *= m[1, 1]
+            v1 += m[1, 0] * v0
+            v0[...] = new0
+            # Views left alive would pin this tensor after a local gate
+            # replaces it.
+            del v0, v1, new0
+        elif isinstance(gate, LocalGate):
+            g = gate.arity
+            mr = gate.matrix.reshape([2] * (2 * g))
+            # Input axes of mr run over local bits g-1..0; line the state axes up.
+            state_axes = [n - 1 - gate.positions[g - 1 - i] for i in range(g)]
+            t = np.tensordot(mr, t, axes=(list(range(g, 2 * g)), state_axes))
+            t = np.moveaxis(t, list(range(g)), state_axes)
+        else:
+            t[(0,) * n] *= np.exp(1j * gate.w)
+    return t.reshape(block.shape)
 
 
-def _apply_controlled(amps: np.ndarray, n: int, gate: ControlledGate) -> np.ndarray:
-    idx = np.arange(1 << n)
-    fire = np.ones(idx.shape, dtype=bool)
-    for q, pol in gate.controls:
-        fire &= ((idx >> q) & 1) == pol
-    i0 = idx[fire & (((idx >> gate.target) & 1) == 0)]
-    i1 = i0 | (1 << gate.target)
-    out = amps.copy()
-    a0 = amps[i0]
-    a1 = amps[i1]
-    m = gate.matrix
-    out[i0] = m[0, 0] * a0 + m[0, 1] * a1
-    out[i1] = m[1, 0] * a0 + m[1, 1] * a1
-    return out
+def basis_columns(circuit: Circuit, inputs) -> np.ndarray:
+    """Columns `inputs` of the circuit's unitary: column j is the circuit
+    applied to the basis state |inputs[j]>. All columns run through the
+    gates together, and no 2**n x 2**n matrix is formed unless every
+    column is asked for."""
+    n = circuit.n
+    if n > SIM_QUBIT_CAP:
+        raise DomainError(f"simulation capped at {SIM_QUBIT_CAP} qubits, got {n}")
+    inputs = np.asarray(inputs, dtype=np.int64)
+    if inputs.size and not (0 <= inputs.min() and inputs.max() < 1 << n):
+        raise DomainError(f"basis inputs must lie in [0, {1 << n})")
+    block = np.zeros((1 << n, inputs.size), dtype=complex)
+    block[inputs, np.arange(inputs.size)] = 1.0
+    return _run_gates(circuit.gates, n, block)
 
 
 def apply_circuit(circuit: Circuit, state: StateVec) -> StateVec:
-    """Run the circuit on a state.
-
-    Local gates contract against the state tensor; controlled and
-    phase-on-zero gates update amplitudes by index arithmetic. No full
-    2**n x 2**n matrix is ever formed.
-    """
+    """Run the circuit on a state, gate by gate on the state tensor; no
+    full 2**n x 2**n matrix is ever formed."""
     if circuit.n != state.n:
         raise DomainError(f"circuit on {circuit.n} qubits, state on {state.n}")
     if circuit.n > SIM_QUBIT_CAP:
         raise DomainError(f"simulation capped at {SIM_QUBIT_CAP} qubits, got {circuit.n}")
-    amps = state.amps.copy()
-    for gate in circuit.gates:
-        if isinstance(gate, LocalGate):
-            amps = _apply_local(amps, circuit.n, gate)
-        elif isinstance(gate, ControlledGate):
-            amps = _apply_controlled(amps, circuit.n, gate)
-        else:
-            amps = amps.copy()
-            amps[0] *= np.exp(1j * gate.w)
-    return StateVec(circuit.n, amps)
+    amps = _run_gates(circuit.gates, circuit.n, state.amps.reshape(-1, 1).copy())
+    return StateVec(circuit.n, amps[:, 0])
 
 
 def circuit_to_matrix(circuit: Circuit, dense_cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    """Ordered product of the embedded gate matrices (last gate leftmost)."""
+    """Dense unitary of the circuit: the gates applied to the identity,
+    O(gates * 4**n)."""
     if circuit.n > dense_cap:
         raise DomainError(f"dense matrix for n={circuit.n} exceeds cap {dense_cap}")
-    u = np.eye(1 << circuit.n, dtype=complex)
-    for gate in circuit.gates:
-        u = embed_gate(gate, circuit.n, dense_cap) @ u
-    return u
+    return basis_columns(circuit, range(1 << circuit.n))
 
 
 def _dagger_gate(gate: Gate) -> Gate:

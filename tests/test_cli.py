@@ -252,6 +252,16 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_exit_code_undecodable_file(tmp_path, capsys):
+    bad = tmp_path / "latin1.qcircuit"
+    bad.write_bytes("qcircuit v1\nn=1\n# caf\xe9\n".encode("latin-1"))
+    code, _, err = run(capsys, "apply", "--circuit", str(bad), "--state", "zero", "--n", "1")
+    assert code == 2
+    assert "error:" in err
+    code, _, err = run(capsys, "dist", "--metric", "two", "--a", str(bad), "--b", str(bad))
+    assert code == 2
+
+
 def test_zero_state_needs_n(capsys, tmp_path):
     cf = tmp_path / "id.qcircuit"
     write_circuit(cf, Circuit(1, ()))

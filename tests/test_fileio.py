@@ -15,7 +15,7 @@ from qcapprox.fileio import (
     write_state,
 )
 from qcapprox.problems import DecisionProblem, GuessProblem
-from qcapprox.tensor import ControlledGate, LocalGate, PhaseOnZero, StateVec
+from qcapprox.tensor import Circuit, ControlledGate, DomainError, LocalGate, PhaseOnZero, StateVec
 from helpers import random_circuit, random_state
 
 
@@ -48,6 +48,8 @@ def test_state_parse_errors():
         parse_state("qstate v1\nn=x\n1 0\n0 0\n")
     with pytest.raises(ParseError):
         parse_state("qstate v1\nn=0\n1 0\n")
+    with pytest.raises(DomainError):
+        parse_state("qstate v1\nn=1\nnan 0\n1 0\n")
 
 
 def test_state_comments_and_blanks_skipped():
@@ -75,6 +77,18 @@ def test_circuit_round_trip_bit_exact():
                 assert np.array_equal(g1.matrix, g2.matrix)
             else:
                 assert g1.w == g2.w
+
+
+def test_zero_control_gate_round_trip():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    c = Circuit(2, (ControlledGate((), 1, x),))
+    text = format_circuit(c)
+    assert text.splitlines()[2].startswith("ctrl - 1 ")
+    back = parse_circuit(text).gates[0]
+    assert back.controls == () and back.target == 1 and np.array_equal(back.matrix, x)
+    # older files left the control field empty
+    legacy = parse_circuit("qcircuit v1\nn=2\nctrl  1 0:0 1:0 1:0 0:0\n").gates[0]
+    assert legacy.controls == () and np.array_equal(legacy.matrix, x)
 
 
 def test_circuit_format_lines():

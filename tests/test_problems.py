@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcapprox import problems
 from qcapprox.problems import (
     Advantage,
     DecisionProblem,
@@ -15,7 +16,9 @@ from qcapprox.tensor import (
     DomainError,
     LocalGate,
     StateVec,
+    apply_circuit,
     circuit_to_matrix,
+    measure_prefix,
 )
 from helpers import haar_unitary, random_circuit
 
@@ -118,6 +121,30 @@ def test_guess_matches_amplitude_oracle():
             )
             p_star = min(p_star, p_b)
         assert abs(adv.p_star - p_star) < 1e-12
+
+
+def reference_p_star(circuit, problem, l):
+    return min(
+        float(measure_prefix(apply_circuit(circuit, StateVec.basis(circuit.n, b)), l).probs[val])
+        for b, val in problem.f.items()
+    )
+
+
+def test_advantage_matches_per_input_loop(monkeypatch):
+    rng = np.random.default_rng(4)
+    for block_amps in (problems.BLOCK_AMPS, 16):  # one block, then several
+        monkeypatch.setattr(problems, "BLOCK_AMPS", block_amps)
+        for _ in range(10):
+            n = int(rng.integers(1, 4))
+            circuit = random_circuit(n + int(rng.integers(0, 2)), 5, rng)
+            domain = [int(b) for b in rng.choice(1 << n, size=int(rng.integers(1, (1 << n) + 1)),
+                                                  replace=False)]
+            decision = DecisionProblem(n, {b: int(rng.integers(0, 2)) for b in domain})
+            guess = GuessProblem(n, {b: int(rng.integers(0, 1 << n)) for b in domain})
+            got = decision_advantage(circuit, decision).p_star
+            assert abs(got - reference_p_star(circuit, decision, 1)) < 1e-12
+            got = guess_advantage(circuit, guess).p_star
+            assert abs(got - reference_p_star(circuit, guess, n)) < 1e-12
 
 
 def test_advantage_dimension_mismatch():

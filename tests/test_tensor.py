@@ -10,12 +10,14 @@ from qcapprox import (
     PhaseOnZero,
     StateVec,
     apply_circuit,
+    basis_columns,
     circuit_dagger,
     circuit_to_matrix,
     default_gate_cost,
     embed_gate,
     measure_prefix,
 )
+from qcapprox.tensor import SIM_QUBIT_CAP
 from helpers import haar_unitary, random_circuit, random_state
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,8 +47,18 @@ def test_state_validation():
         StateVec(2, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DomainError):
         StateVec(1, np.array([1.0, 1.0]))
+    with pytest.raises(DomainError):
+        StateVec(1, np.array([np.nan, 1.0]))
     s = StateVec.zero(3)
     assert s.amps[0] == 1.0 and abs(s.amps[1:]).max() == 0.0
+
+
+def test_basis_states_capped_before_allocating():
+    for n in (0, SIM_QUBIT_CAP + 1):
+        with pytest.raises(DomainError):
+            StateVec.zero(n)
+        with pytest.raises(DomainError):
+            StateVec.basis(n, 0)
 
 
 def test_state_amps_frozen():
@@ -60,6 +72,10 @@ def test_gate_validation():
         LocalGate((0, 0), haar_unitary(4, np.random.default_rng(0)))
     with pytest.raises(DomainError):
         LocalGate((0,), np.array([[1, 1], [0, 1]], dtype=complex))  # not unitary
+    with pytest.raises(DomainError):
+        LocalGate((0,), np.array([[np.nan, 0], [0, 1]], dtype=complex))
+    with pytest.raises(DomainError):
+        ControlledGate(((0, 1),), 1, np.array([[0, np.nan], [1, 0]], dtype=complex))
     with pytest.raises(DomainError):
         ControlledGate(((0, 2),), 1, X)  # bad polarity
     with pytest.raises(DomainError):
@@ -139,6 +155,69 @@ def test_apply_vs_matrix_random_pairs():
         assert np.linalg.norm(direct - via_matrix) <= 1e-9
 
 
+def gate_oracle(gate, n):
+    """Dense matrix of any gate through embed_oracle: a controlled gate is a
+    local gate on (target, *controls) that acts only where every control
+    matches, and phase-on-zero is a diagonal local gate on all qubits."""
+    if isinstance(gate, LocalGate):
+        return embed_oracle(gate.positions, gate.matrix, n)
+    if isinstance(gate, PhaseOnZero):
+        diag = np.ones(1 << n, dtype=complex)
+        diag[0] = np.exp(1j * gate.w)
+        return embed_oracle(tuple(range(n)), np.diag(diag), n)
+    pattern = sum(p << (j + 1) for j, (_, p) in enumerate(gate.controls))
+    m = np.eye(2 << len(gate.controls), dtype=complex)
+    m[pattern:pattern + 2, pattern:pattern + 2] = gate.matrix
+    return embed_oracle((gate.target,) + tuple(q for q, _ in gate.controls), m, n)
+
+
+def kernel_test_gate(n, rng):
+    """A local gate of arity 1-3, a controlled gate with no controls or with
+    every other qubit as a control (random polarities), or phase-on-zero."""
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        g = int(rng.integers(1, min(n, 3) + 1))
+        positions = tuple(int(q) for q in rng.choice(n, size=g, replace=False))
+        return LocalGate(positions, haar_unitary(1 << g, rng))
+    if kind == 3:
+        return PhaseOnZero(float(rng.uniform(-np.pi, np.pi)))
+    order = [int(q) for q in rng.permutation(n)]
+    controls = () if kind == 1 else tuple((q, int(rng.integers(0, 2))) for q in order[1:])
+    return ControlledGate(controls, order[0], haar_unitary(2, rng))
+
+
+def test_circuit_to_matrix_matches_oracle_product():
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        for _ in range(4):
+            gates = tuple(kernel_test_gate(n, rng) for _ in range(6))
+            want = np.eye(1 << n, dtype=complex)
+            for gate in gates:
+                want = gate_oracle(gate, n) @ want
+            assert np.allclose(circuit_to_matrix(Circuit(n, gates)), want, atol=1e-12)
+
+
+def test_apply_leaves_input_state_unchanged():
+    rng = np.random.default_rng(13)
+    for n in (1, 3):
+        s = random_state(n, rng)
+        before = s.amps.copy()
+        gates = (ControlledGate((), 0, X), PhaseOnZero(0.3)) + random_circuit(n, 6, rng).gates
+        out = apply_circuit(Circuit(n, gates), s)
+        assert np.array_equal(s.amps, before)
+        assert not np.shares_memory(out.amps, s.amps)
+
+
+def test_basis_columns_match_matrix_columns():
+    rng = np.random.default_rng(9)
+    c = random_circuit(4, 8, rng)
+    inputs = [5, 0, 5, 15]
+    assert np.allclose(basis_columns(c, inputs), circuit_to_matrix(c)[:, inputs], atol=1e-12)
+    assert basis_columns(c, []).shape == (16, 0)
+    with pytest.raises(DomainError):
+        basis_columns(c, [16])
+
+
 def test_apply_preserves_norm():
     rng = np.random.default_rng(5)
     for _ in range(25):
@@ -216,6 +295,8 @@ def test_distribution_validation():
         Distribution(1, np.array([0.5, 0.4]))
     with pytest.raises(DomainError):
         Distribution(1, np.array([1.1, -0.1]))
+    with pytest.raises(DomainError):
+        Distribution(1, np.array([np.nan, 1.0]))
     d = Distribution(1, np.array([1.0 + 5e-13, -5e-13]))  # tiny negatives clamp
     assert d.probs[1] == 0.0
 
