@@ -1,5 +1,6 @@
-"""Complex linear algebra kernels: SVD, null spaces, unitary eigensystems,
-Gram-Schmidt, polar projection, and congruence-matching unitaries.
+"""Complex linear algebra kernels: SVD, null spaces, unitary eigensystems
+(Schur vectors, already orthonormal), Gram-Schmidt, polar projection, and
+congruence-matching unitaries.
 
 Dense factorizations are delegated to LAPACK (numpy/scipy); the
 constructions layered on top are implemented here.
@@ -14,7 +15,6 @@ from .tensor import DomainError
 
 NULL_SV_RTOL = 1e-10
 RANK_TOL = 1e-12
-CLUSTER_TOL = 1e-7
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -78,14 +78,13 @@ def gram_schmidt(vectors, tol: float = 1e-10) -> list[np.ndarray]:
     return basis
 
 
-def eig_unitary(u, cluster_tol: float = CLUSTER_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_unitary(u) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors of a unitary matrix.
 
     Uses the complex Schur form, whose triangular factor collapses to a
-    diagonal for normal input, so the Schur vectors are the eigenvectors.
-    Eigenvalues closer than cluster_tol are treated as one degenerate
-    cluster and their vectors re-orthonormalized jointly; output is sorted
-    by principal phase angle.
+    diagonal for normal input, so the Schur vectors are the eigenvectors;
+    they are unitary by construction, degenerate clusters included. Output
+    is sorted by principal phase angle.
     """
     m = _as_matrix(u, "u")
     d = m.shape[0]
@@ -95,24 +94,9 @@ def eig_unitary(u, cluster_tol: float = CLUSTER_TOL) -> tuple[np.ndarray, np.nda
     if defect > 1e-8:
         raise DomainError(f"u is not unitary (Frobenius defect {defect:.3e})")
     t, z = scipy.linalg.schur(m, output="complex")
-    lam = np.diag(t).copy()
+    lam = np.diag(t)
     order = np.argsort(np.angle(lam), kind="stable")
-    lam = lam[order]
-    vecs = z[:, order].copy()
-
-    # joint re-orthonormalization inside each degeneracy cluster
-    start = 0
-    while start < d:
-        end = start + 1
-        while end < d and abs(lam[end] - lam[end - 1]) < cluster_tol:
-            end += 1
-        if end - start > 1:
-            block = gram_schmidt([vecs[:, j] for j in range(start, end)])
-            if len(block) != end - start:
-                raise DomainError("eigenvector cluster lost rank during re-orthonormalization")
-            vecs[:, start:end] = np.column_stack(block)
-        start = end
-    return lam, vecs
+    return lam[order], z[:, order]
 
 
 def nearest_unitary(a) -> np.ndarray:
@@ -133,13 +117,9 @@ def nearest_unitary(a) -> np.ndarray:
     return w @ vh
 
 
-def _complete_to_basis(columns: list[np.ndarray], dim: int) -> np.ndarray:
-    """Extend an orthonormal family to a full orthonormal basis of C^dim."""
-    candidates = list(columns) + [np.eye(dim, dtype=complex)[:, j] for j in range(dim)]
-    basis = gram_schmidt(candidates)
-    if len(basis) != dim:
-        raise DomainError(f"could not complete to a basis of dimension {dim}")
-    return np.column_stack(basis)
+def _complete_to_basis(columns: np.ndarray) -> np.ndarray:
+    """Unitary whose first columns span the orthonormal columns given."""
+    return np.linalg.qr(columns, mode="complete")[0]
 
 
 def unitary_from_congruence(x, y, tol: float = 1e-8) -> np.ndarray:
@@ -162,21 +142,13 @@ def unitary_from_congruence(x, y, tol: float = 1e-8) -> np.ndarray:
         raise DomainError(
             f"x*x != y*y (Frobenius gap {gram_gap:.3e}); congruence precondition fails"
         )
-    n = xm.shape[0]
     w, s, vh = svd(ym)
     xp = xm @ vh.conj().T  # columns orthogonal with lengths s_i
     smax = s[0] if s.size else 0.0
-    cut = max(RANK_TOL, NULL_SV_RTOL * smax)
-    keep = [i for i in range(s.size) if s[i] > cut]
-    sources = [xp[:, i] / s[i] for i in keep]
-    targets = [w[:, i] for i in keep]
-    if len(keep) == n:
-        return np.column_stack(targets) @ np.column_stack(sources).conj().T
-    qs = _complete_to_basis(sources, n)[:, len(keep):]
-    qt = _complete_to_basis(targets, n)[:, len(keep):]
+    r = int(np.count_nonzero(s > max(RANK_TOL, NULL_SV_RTOL * smax)))  # s descends
+    sources = xp[:, :r] / s[:r]
+    qs = _complete_to_basis(sources)[:, r:]
+    qt = w[:, r:]  # the rest of w completes the targets w[:, :r]
     w2, _, v2h = svd(qs.conj().T @ qt)
     bridge = v2h.conj().T @ w2.conj().T  # maximizes Re tr((qs* qt) B)
-    u = qt @ bridge @ qs.conj().T
-    if keep:
-        u = u + np.column_stack(targets) @ np.column_stack(sources).conj().T
-    return u
+    return w[:, :r] @ sources.conj().T + qt @ bridge @ qs.conj().T

@@ -20,6 +20,7 @@ from . import linalg
 from .tensor import DomainError
 
 ITERATION_CAP = 1 << 24
+DIGIT_CAP = 4300  # Python's default limit on decimal digits printed from an int
 
 
 @dataclass(frozen=True)
@@ -64,16 +65,33 @@ def _axis_values(spec: NetSpec) -> np.ndarray:
     return -1.0 + (np.arange(spec.axis_points) + 0.5) * step
 
 
+def _exceeds_digit_cap(log10_base: float, exponent: int) -> bool:
+    """Whether base**exponent has more than DIGIT_CAP decimal digits,
+    decided from the logarithm without taking the power."""
+    return log10_base > 0 and exponent >= DIGIT_CAP / log10_base
+
+
+def _grid_count(spec: NetSpec) -> int:
+    return spec.axis_points ** spec.num_axes
+
+
 def net_cardinality(spec: NetSpec) -> tuple[int, int]:
     """(exact grid count, closed-form bound ceil((2/delta)^(16**g))).
 
     Both are arbitrary-precision integers; the closed form is evaluated in
-    exact rational arithmetic before taking the ceiling.
+    exact rational arithmetic before taking the ceiling. Refused when
+    either would exceed DIGIT_CAP decimal digits.
     """
-    exact = spec.axis_points ** spec.num_axes
+    exponent = 16**spec.g
+    log10_ratio = math.log1p((2.0 - spec.delta) / spec.delta) / math.log(10)  # accurate near delta = 2
+    if _exceeds_digit_cap(log10_ratio, exponent):
+        raise DomainError(
+            f"closed-form bound (2/delta)^(16^g) exceeds {DIGIT_CAP} decimal digits"
+        )
+    if _exceeds_digit_cap(math.log10(spec.axis_points), spec.num_axes):
+        raise DomainError(f"grid count exceeds {DIGIT_CAP} decimal digits")
     ratio = Fraction(2) / Fraction(spec.delta)
-    bound = math.ceil(ratio ** (16 ** spec.g))
-    return exact, bound
+    return _grid_count(spec), math.ceil(ratio**exponent)
 
 
 def paper_entry_count(spec: NetSpec) -> int:
@@ -86,7 +104,7 @@ def paper_entry_count(spec: NetSpec) -> int:
 
 def decode_index(spec: NetSpec, index: int) -> np.ndarray:
     """Grid matrix for a mixed-radix index (row-major, real digit first)."""
-    exact, _ = net_cardinality(spec)
+    exact = _grid_count(spec)
     if not 0 <= index < exact:
         raise DomainError(f"index {index} out of range [0, {exact})")
     values = _axis_values(spec)
@@ -106,43 +124,41 @@ def decode_index(spec: NetSpec, index: int) -> np.ndarray:
     return a
 
 
-def encode_matrix(spec: NetSpec, a) -> int:
-    """Inverse of decode_index for matrices whose entries sit on the grid."""
+def _grid_index(spec: NetSpec, a, clamp: bool) -> int:
+    """Mixed-radix index (row-major, real digit first) of the grid digits
+    nearest to a's entries. With clamp, entries must lie in the unit
+    square and digits are clamped onto the grid; without it, every entry
+    must sit on a grid value."""
     m = np.asarray(a, dtype=complex)
     d = spec.dim
     if m.shape != (d, d):
         raise DomainError(f"expected shape {(d, d)}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise DomainError("entries must be finite")
+    if clamp and (np.abs(m.real).max() > 1 + 1e-9 or np.abs(m.imag).max() > 1 + 1e-9):
+        raise DomainError("entries must lie in the unit square [-1, 1]^2")
     step = 2.0 / spec.axis_points
     index = 0
-    for i in range(d):
-        for j in range(d):
-            for x in (m[i, j].real, m[i, j].imag):
-                digit = int(round((x + 1.0) / step - 0.5))
-                if not 0 <= digit < spec.axis_points:
-                    raise DomainError(f"entry value {x!r} falls outside the grid")
-                if abs((-1.0 + (digit + 0.5) * step) - x) > 1e-9:
-                    raise DomainError(f"entry value {x!r} is not a grid value")
-                index = index * spec.axis_points + digit
+    for x in np.ascontiguousarray(m).view(np.float64).ravel().tolist():  # re, im per entry
+        digit = int(round((x + 1.0) / step - 0.5))
+        if clamp:
+            digit = min(max(digit, 0), spec.axis_points - 1)
+        elif not 0 <= digit < spec.axis_points:
+            raise DomainError(f"entry value {x!r} falls outside the grid")
+        elif abs((-1.0 + (digit + 0.5) * step) - x) > 1e-9:
+            raise DomainError(f"entry value {x!r} is not a grid value")
+        index = index * spec.axis_points + digit
     return index
+
+
+def encode_matrix(spec: NetSpec, a) -> int:
+    """Inverse of decode_index for matrices whose entries sit on the grid."""
+    return _grid_index(spec, a, clamp=False)
 
 
 def nearest_net_index(spec: NetSpec, u) -> int:
     """Index of the grid matrix nearest to u (entrywise rounding)."""
-    m = np.asarray(u, dtype=complex)
-    d = spec.dim
-    if m.shape != (d, d):
-        raise DomainError(f"expected shape {(d, d)}, got {m.shape}")
-    if np.abs(m.real).max() > 1 + 1e-9 or np.abs(m.imag).max() > 1 + 1e-9:
-        raise DomainError("entries must lie in the unit square [-1, 1]^2")
-    step = 2.0 / spec.axis_points
-    index = 0
-    for i in range(d):
-        for j in range(d):
-            for x in (m[i, j].real, m[i, j].imag):
-                digit = int(round((x + 1.0) / step - 0.5))
-                digit = min(max(digit, 0), spec.axis_points - 1)
-                index = index * spec.axis_points + digit
-    return index
+    return _grid_index(spec, u, clamp=True)
 
 
 def net_point(spec: NetSpec, index: int) -> np.ndarray:
@@ -156,7 +172,7 @@ def net_point(spec: NetSpec, index: int) -> np.ndarray:
 
 def iter_net_indices(spec: NetSpec) -> Iterator[int]:
     """All indices, smallest first. Refused above 2**24 points."""
-    exact, _ = net_cardinality(spec)
+    exact = _grid_count(spec)
     if exact > ITERATION_CAP:
         raise DomainError(f"net has {exact} points, iteration capped at {ITERATION_CAP}")
     return iter(range(exact))

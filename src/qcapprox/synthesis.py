@@ -151,29 +151,35 @@ def extend_to_unitary(v, tol: float = ORTHO_TOL) -> np.ndarray:
 
 
 def _phase_factor_gates(x: StateVec, w: float) -> list:
-    prep = prepare_state(x).circuit
+    prep = Circuit(x.n, tuple(_prepare_gates(x.amps, x.n)))
     return list(circuit_dagger(prep).gates) + [PhaseOnZero(w)] + list(prep.gates)
 
 
 def synthesize_transitive(targets: OrthoSeq) -> SynthesisReport:
     """Circuit sending |i> to targets.states[i] for every i < k.
 
-    The column action is extended (through its transpose) to a unitary
-    with at least 2**n - k unit eigenvalues; each remaining eigenpair
-    (exp(i w), x) contributes the factor P_x I_w P_x^dagger where P_x
-    prepares x. At most k phase-on-zero gates are emitted.
+    The wanted unitary is the identity outside a space of dimension
+    d <= 2k holding every e_i and u_i; q is an orthonormal basis of it
+    with e_0..e_{k-1} first. The column action, written in that basis, is
+    extended (through its transpose) to a d x d unitary with at least
+    d - k unit eigenvalues; each remaining eigenpair (exp(i w), y)
+    contributes the factor P_x I_w P_x^dagger where P_x prepares x = q y.
+    At most k phase-on-zero gates are emitted.
     """
     n, k = targets.n, targets.k
     rows = np.array([s.amps for s in targets.states])  # row i = u_i (transposed columns)
-    extended = extend_to_unitary(rows)
-    u_target = extended.T  # column i = u_i; eigenvalue multiset unchanged
-    lam, vecs = linalg.eig_unitary(u_target)
+    tail = np.linalg.qr(rows[:, k:].T)[0]
+    q = np.zeros((rows.shape[1], k + tail.shape[1]), dtype=complex)
+    q[:k, :k] = np.eye(k)
+    q[k:, k:] = tail
+    extended = extend_to_unitary(rows @ q.conj())  # row i = (q* u_i)^T
+    lam, vecs = linalg.eig_unitary(extended.T)
     gates: list = []
     for j in range(lam.size):
         if abs(lam[j] - 1.0) <= UNIT_EIGENVALUE_TOL:
             continue
         angle = float(np.angle(lam[j]))
-        gates.extend(_phase_factor_gates(StateVec(n, vecs[:, j]), angle))
+        gates.extend(_phase_factor_gates(StateVec(n, q @ vecs[:, j]), angle))
     circuit = Circuit(n, tuple(gates))
     out = basis_columns(circuit, range(k))
     residual = float(np.linalg.norm(out - rows.T, axis=0).max())

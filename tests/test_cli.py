@@ -170,6 +170,13 @@ def test_net_count(capsys):
     assert table["axis_points"] == "6"
 
 
+def test_net_count_beyond_digit_cap(capsys):
+    code, _, err = run(capsys, "net", "--g", "3", "--delta", "0.1", "--count")
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_net_point_and_nearest(tmp_path, capsys):
     code, out, _ = run(capsys, "net", "--g", "1", "--delta", "1.0", "--point", "100")
     assert code == 0

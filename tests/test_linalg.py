@@ -97,7 +97,12 @@ def test_eig_unitary_reconstruction():
 def test_eig_unitary_degenerate_spectrum():
     # heavily repeated eigenvalues still give an orthonormal eigenbasis
     rng = np.random.default_rng(6)
-    for phases in ([0, 0, 0, np.pi], [0.3, 0.3, 0.3, 0.3], [0, 1e-9, 2.0, 2.0]):
+    for phases in (
+        [0, 0, 0, np.pi],
+        [0.3, 0.3, 0.3, 0.3],
+        [0, 1e-9, 2.0, 2.0],
+        [np.pi - 1e-9, -np.pi + 1e-9, 0.5, 0.5],  # a pair straddling the -1 cut
+    ):
         q = haar_unitary(4, rng)
         u = q @ np.diag(np.exp(1j * np.array(phases))) @ q.conj().T
         lam, v = eig_unitary(u)

@@ -69,6 +69,17 @@ def test_cardinality_direction_or_counterexample():
         assert paper_entry_count(spec) <= bound
 
 
+def test_cardinality_refuses_beyond_digit_cap():
+    # decided from logarithms: g = 5 would otherwise take a 2^20-fold power
+    for spec in (NetSpec(3, 0.1), NetSpec(5, 0.1), NetSpec(3, 1.99, rho=1e-40)):
+        with pytest.raises(DomainError):
+            net_cardinality(spec)
+    # indexing needs only the exact grid count, which stays in range here
+    spec = NetSpec(3, 0.1)
+    last = spec.axis_points ** spec.num_axes - 1
+    assert encode_matrix(spec, decode_index(spec, last)) == last
+
+
 def test_axis_grid_covers_unit_square():
     spec = NetSpec(1, 1.0)
     rng = np.random.default_rng(0)
@@ -126,6 +137,17 @@ def test_nearest_index_rejects_far_entries():
     spec = NetSpec(1, 1.0)
     with pytest.raises(DomainError):
         nearest_net_index(spec, np.array([[2.0, 0], [0, 1.0]], dtype=complex))
+
+
+def test_grid_index_rejects_non_finite():
+    spec = NetSpec(1, 1.0)
+    for bad in (np.nan, np.inf):
+        a = np.full((2, 2), 1 / 6 + 1j / 6)
+        a[1, 0] = bad
+        with pytest.raises(DomainError):
+            encode_matrix(spec, a)
+        with pytest.raises(DomainError):
+            nearest_net_index(spec, a)
 
 
 def test_covering_radius_haar():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,52 @@ def test_transitive_random_columns():
                     isinstance(g, PhaseOnZero) for g in report.circuit.gates
                 )
                 assert phases <= k
+
+
+def _random_ortho_seq(n, k, rng):
+    z = rng.standard_normal((1 << n, k)) + 1j * rng.standard_normal((1 << n, k))
+    q, _ = np.linalg.qr(z)
+    return OrthoSeq(n, tuple(StateVec(n, q[:, i]) for i in range(k)))
+
+
+@pytest.mark.parametrize("n,k", [(12, 1), (12, 2), (14, 1)])
+def test_transitive_large_n(n, k):
+    # the linear algebra runs on a <= 2k-dimensional subspace, so n = 14 is cheap
+    rng = np.random.default_rng(n + k)
+    seq = _random_ortho_seq(n, k, rng)
+    report = synthesize_transitive(seq)
+    assert report.residual <= 1e-7
+    assert sum(isinstance(g, PhaseOnZero) for g in report.circuit.gates) <= k
+    # a state orthogonal to every e_i and u_i is left alone
+    span, _ = np.linalg.qr(np.column_stack([np.eye(1 << n, k)] + [s.amps for s in seq.states]))
+    z = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    z -= span @ (span.conj().T @ z)
+    fixed = StateVec(n, z / np.linalg.norm(z))
+    assert np.linalg.norm(apply_circuit(report.circuit, fixed).amps - fixed.amps) <= 1e-7
+
+
+def test_transitive_allocates_no_dense_matrix():
+    n, k = 9, 1
+    seq = _random_ortho_seq(n, k, np.random.default_rng(9))
+    tracemalloc.start()
+    try:
+        synthesize_transitive(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 2 * n) * 16  # one 2^n x 2^n complex array
+
+
+def test_transitive_circuit_unit_eigenvalues():
+    # the synthesized circuit itself, not just the extension, fixes all but k directions
+    rng = np.random.default_rng(8)
+    for n in range(1, 7):
+        for k in (1, 2, 3):
+            if k > 1 << n:
+                continue
+            report = synthesize_transitive(_random_ortho_seq(n, k, rng))
+            lam = np.linalg.eigvals(circuit_to_matrix(report.circuit))
+            assert int(np.sum(np.abs(lam - 1) <= 1e-7)) >= (1 << n) - k
 
 
 def test_transitive_weak_norm_report():
