@@ -1,7 +1,12 @@
 """Exact circuit synthesis.
 
 prepare_state builds a circuit driving |0...0> to a target state with a
-cascade of fully conditioned single-qubit rotations. synthesize_transitive
+cascade of fully conditioned single-qubit rotations. Level l of the cascade
+rotates qubit l-1 once for each pattern of qubits 0..l-2 (a uniformly
+controlled rotation, Mottonen et al. 2004, quant-ph/0407010); the cascade
+is built one level at a time, with O(1) numpy calls per level and one
+checked ControlledGate.batch, so the Python work left is creating the
+emitted gate objects. synthesize_transitive
 realizes any wanted action on the first k basis states by extending it to
 a unitary with at least 2**n - k unit eigenvalues and expanding the rest
 into conjugated phase-on-zero factors.
@@ -73,44 +78,44 @@ def _report(circuit: Circuit, residual: float) -> SynthesisReport:
     return SynthesisReport(circuit, cost.primitive_count, cost.two_qubit_equiv, residual)
 
 
-def _near_identity(m: np.ndarray) -> bool:
-    return bool(np.abs(m - np.eye(m.shape[0])).max() <= IDENTITY_GATE_TOL)
-
-
-def _lift_column(a0: complex, a1: complex) -> np.ndarray:
-    """Determinant-1 single-qubit unitary with first column (a0, a1)."""
-    norm = np.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
-    a0, a1 = a0 / norm, a1 / norm
-    return np.array([[a0, -np.conj(a1)], [a1, np.conj(a0)]])
-
-
 def _prepare_gates(amps: np.ndarray, n: int) -> list:
-    if n == 1:
-        gate = LocalGate((0,), _lift_column(amps[0], amps[1]))
-        return [] if _near_identity(gate.matrix) else [gate]
-    half = 1 << (n - 1)
-    low = amps[:half]        # last qubit (bit n-1) = 0
-    high = amps[half:]       # last qubit (bit n-1) = 1
-    weights = np.sqrt(np.abs(low) ** 2 + np.abs(high) ** 2)
-    gates = _prepare_gates(weights.astype(complex), n - 1)
-    for b in range(half):
-        if weights[b] < BRANCH_TOL:
-            continue
-        m = _lift_column(low[b], high[b])
-        if _near_identity(m):
-            continue
-        controls = tuple((i, (b >> i) & 1) for i in range(n - 1))
-        gates.append(ControlledGate(controls, n - 1, m))
+    """Gates of the cascade preparing `amps` from |0...0>, one level at a time.
+
+    v_n = amps, and v_{l-1} = sqrt(|low|^2 + |high|^2) over the halves of
+    v_l. Level l rotates qubit l-1 conditioned on every pattern b of qubits
+    0..l-2: the determinant-1 lift with first column (v_l[b], v_l[b + half])
+    / v_{l-1}[b], kept only where that weight is at least BRANCH_TOL and the
+    lift is not the identity. Level 1 is one local gate.
+    """
+    levels = [np.asarray(amps, dtype=complex)]
+    for _ in range(n):
+        v = levels[-1]
+        half = v.size // 2
+        levels.append(np.sqrt(np.abs(v[:half]) ** 2 + np.abs(v[half:]) ** 2).astype(complex))
+    gates: list = []
+    for l in range(1, n + 1):
+        v, w = levels[n - l], levels[n - l + 1]
+        branches = np.flatnonzero(w.real >= BRANCH_TOL)
+        a0 = v[branches] / w[branches]
+        a1 = v[w.size + branches] / w[branches]
+        lifts = np.stack([a0, -a1.conj(), a1, a0.conj()], axis=-1).reshape(-1, 2, 2)
+        keep = np.abs(lifts - np.eye(2)).max(axis=(1, 2)) > IDENTITY_GATE_TOL
+        branches, lifts = branches[keep], lifts[keep]
+        if l == 1:
+            gates.extend(LocalGate((0,), m) for m in lifts)
+        else:
+            patterns = (branches[:, None] >> np.arange(l - 1)) & 1
+            gates.extend(ControlledGate.batch(range(l - 1), l - 1, patterns, lifts))
     return gates
 
 
 def prepare_state(u: StateVec) -> SynthesisReport:
     """Circuit mapping |0...0> to u exactly, global phase included.
 
-    Recursive branch construction: the magnitude profile of the first
-    n-1 bits is prepared first, then one conditioned rotation per surviving
-    branch pattern installs the target pair of amplitudes on the last
-    qubit. At most 2**n - 1 primitive gates come out.
+    Level by level: level l installs the magnitude profile of the first l
+    bits, one conditioned rotation of qubit l-1 per surviving branch
+    pattern of the first l-1 bits; the last level installs the target
+    amplitudes, phases included. At most 2**n - 1 primitive gates come out.
     """
     circuit = Circuit(u.n, tuple(_prepare_gates(u.amps, u.n)))
     out = apply_circuit(circuit, StateVec.zero(u.n))

@@ -8,6 +8,7 @@ bit, so the first l bits of b are b % 2**l.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Callable, Union
 
 import numpy as np
@@ -37,13 +38,19 @@ def _as_complex_array(values, name: str) -> np.ndarray:
 
 
 def _check_unitary(matrix: np.ndarray, name: str, tol: float = UNITARY_TOL) -> np.ndarray:
+    """Validate one square matrix, or a (G, d, d) stack of them against the
+    worst Frobenius defect in the stack."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise DomainError(f"{name} must be square, got shape {m.shape}")
-    d = m.shape[0]
+    d = m.shape[-1]
     if d == 0 or d & (d - 1):
         raise DomainError(f"{name} must have power-of-two dimension, got {d}")
-    err = np.linalg.norm(m.conj().T @ m - np.eye(d))
+    if m.ndim == 2:
+        err = np.linalg.norm(m.conj().T @ m - np.eye(d))
+    else:
+        gram = m.conj().swapaxes(1, 2) @ m - np.eye(d)
+        err = np.linalg.norm(gram, axis=(1, 2)).max(initial=0.0)
     if not err <= tol:
         raise DomainError(f"{name} is not unitary (Frobenius defect {err:.3e} > {tol:.0e})")
     return m
@@ -105,6 +112,23 @@ class Distribution:
         object.__setattr__(self, "probs", p)
 
 
+def _check_wires(qubits: list, target: int) -> None:
+    touched = qubits + [target]
+    if len(set(touched)) != len(touched):
+        raise DomainError(f"controls {qubits} and target {target} must be distinct")
+    if min(touched) < 0:
+        raise DomainError("negative qubit index")
+
+
+def _trusted(cls, **fields):
+    """An instance of a frozen gate or circuit class from fields that are
+    already validated, skipping its __post_init__ checks."""
+    gate = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(gate, name, value)
+    return gate
+
+
 @dataclass(frozen=True)
 class LocalGate:
     """Unitary on an explicit tuple of qubit positions.
@@ -125,9 +149,9 @@ class LocalGate:
         if min(pos) < 0:
             raise DomainError(f"negative qubit position in {pos}")
         m = _check_unitary(self.matrix, "gate matrix")
-        if m.shape[0] != 1 << len(pos):
+        if m.shape != (1 << len(pos),) * 2:
             raise DomainError(
-                f"matrix dimension {m.shape[0]} does not match {len(pos)} positions"
+                f"matrix shape {m.shape} does not match {len(pos)} positions"
             )
         m = m.copy()
         m.flags.writeable = False
@@ -152,15 +176,10 @@ class ControlledGate:
     matrix: np.ndarray
 
     def __post_init__(self):
-        ctrls = tuple((int(q), int(p)) for q, p in self.controls)
-        qubits = [q for q, _ in ctrls]
+        ctrls = tuple([(int(q), int(p)) for q, p in self.controls])
         if any(p not in (0, 1) for _, p in ctrls):
             raise DomainError(f"control polarities must be 0 or 1: {ctrls}")
-        touched = qubits + [int(self.target)]
-        if len(set(touched)) != len(touched):
-            raise DomainError(f"controls {qubits} and target {self.target} must be distinct")
-        if min(touched) < 0:
-            raise DomainError("negative qubit index")
+        _check_wires([q for q, _ in ctrls], int(self.target))
         m = _check_unitary(self.matrix, "gate matrix")
         if m.shape != (2, 2):
             raise DomainError(f"controlled gate matrix must be 2x2, got {m.shape}")
@@ -169,6 +188,35 @@ class ControlledGate:
         object.__setattr__(self, "controls", ctrls)
         object.__setattr__(self, "target", int(self.target))
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def batch(cls, qubits, target: int, patterns, matrices) -> list["ControlledGate"]:
+        """One gate per row g of `patterns`: matrices[g] on `target` where
+        control qubit qubits[j] has polarity patterns[g, j].
+
+        The wires and polarities are validated once and the whole (G, 2, 2)
+        stack in one unitarity check; the gates share one read-only copy
+        of the stack.
+        """
+        qubits = [int(q) for q in qubits]
+        target = int(target)
+        pats = np.asarray(patterns, dtype=np.int64)
+        if pats.ndim != 2 or pats.shape[1] != len(qubits):
+            raise DomainError(f"need one polarity per control qubit, got shape {pats.shape}")
+        if not ((pats == 0) | (pats == 1)).all():
+            raise DomainError("control polarities must be 0 or 1")
+        _check_wires(qubits, target)
+        m = _check_unitary(matrices, "gate matrix")
+        if m.shape != (pats.shape[0], 2, 2):
+            raise DomainError(f"need {pats.shape[0]} 2x2 matrices, got shape {m.shape}")
+        m = m.copy()
+        m.flags.writeable = False
+        # Gates share their (qubit, polarity) pairs: fewer objects to collect.
+        pairs = [((q, 0), (q, 1)) for q in qubits]
+        return [
+            _trusted(cls, controls=tuple(map(getitem, pairs, row)), target=target, matrix=mg)
+            for row, mg in zip(pats.tolist(), m)
+        ]
 
 
 @dataclass(frozen=True)
@@ -249,33 +297,28 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
     """Apply gates in order to every column of a (2**n, B) block.
 
     The block is viewed as a [2]*n + [B] tensor whose axis n-1-q is qubit
-    q. Controlled and phase-on-zero gates update that view in place; a
-    local gate contracts into a fresh tensor. Returns the (2**n, B) result,
-    which may share memory with `block`.
+    q. A run is a stretch of consecutive ControlledGates with the same
+    target, the same control qubits in the same order and pairwise
+    distinct polarity patterns: its gates act on disjoint amplitude pairs,
+    so they commute and the run is one step (see _apply_run). Phase-on-zero
+    gates scale one entry in place; a local gate contracts into a fresh
+    tensor. Returns the (2**n, B) result, which may share memory with
+    `block`.
     """
     t = block.reshape([2] * n + [block.shape[1]])
+    key, run = None, {}  # (target, control qubits) and pattern -> matrix
     for gate in gates:
         if isinstance(gate, ControlledGate):
-            # Length-1 slices keep every index basic, so both halves are
-            # views of t and the updates land in it.
-            index = [slice(None)] * (n + 1)
-            for q, pol in gate.controls:
-                index[n - 1 - q] = slice(pol, pol + 1)
-            axis = n - 1 - gate.target
-            index[axis] = slice(0, 1)
-            v0 = t[tuple(index)]
-            index[axis] = slice(1, 2)
-            v1 = t[tuple(index)]
-            m = gate.matrix
-            new0 = m[0, 0] * v0
-            new0 += m[0, 1] * v1
-            v1 *= m[1, 1]
-            v1 += m[1, 0] * v0
-            v0[...] = new0
-            # Views left alive would pin this tensor after a local gate
-            # replaces it.
-            del v0, v1, new0
-        elif isinstance(gate, LocalGate):
+            qubits, pattern = tuple(zip(*gate.controls)) or ((), ())
+            if (gate.target, qubits) == key and pattern not in run:
+                run[pattern] = gate.matrix
+                continue
+            _apply_run(t, n, key, run)
+            key, run = (gate.target, qubits), {pattern: gate.matrix}
+            continue
+        _apply_run(t, n, key, run)
+        key, run = None, {}
+        if isinstance(gate, LocalGate):
             g = gate.arity
             mr = gate.matrix.reshape([2] * (2 * g))
             # Input axes of mr run over local bits g-1..0; line the state axes up.
@@ -284,7 +327,42 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
             t = np.moveaxis(t, list(range(g)), state_axes)
         else:
             t[(0,) * n] *= np.exp(1j * gate.w)
+    _apply_run(t, n, key, run)
     return t.reshape(block.shape)
+
+
+def _apply_run(t: np.ndarray, n: int, key, run: dict) -> None:
+    """Apply a run of controlled gates to the state tensor t in place.
+
+    A single gate updates two basic-indexing views of t (length-1 slices on
+    the control axes, so no index arrays and no copy). A longer run moves
+    the control axes and the target axis to the front, gathers its G
+    amplitude pairs with one advanced index, applies the (G, 2, 2) stack in
+    one einsum and scatters the result back.
+    """
+    if not run:
+        return
+    target, qubits = key
+    axis = n - 1 - target
+    if len(run) == 1:
+        ((pattern, m),) = run.items()
+        index = [slice(None)] * (n + 1)
+        for q, pol in zip(qubits, pattern):
+            index[n - 1 - q] = slice(pol, pol + 1)
+        index[axis] = slice(0, 1)
+        v0 = t[tuple(index)]
+        index[axis] = slice(1, 2)
+        v1 = t[tuple(index)]
+        new0 = m[0, 0] * v0
+        new0 += m[0, 1] * v1
+        v1 *= m[1, 1]
+        v1 += m[1, 0] * v0
+        v0[...] = new0
+        return
+    front = [n - 1 - q for q in qubits] + [axis]
+    view = np.moveaxis(t, front, range(len(front)))
+    pairs = tuple(np.array(list(run)).T)
+    view[pairs] = np.einsum("gij,gj...->gi...", np.array(list(run.values())), view[pairs])
 
 
 def basis_columns(circuit: Circuit, inputs) -> np.ndarray:
@@ -323,16 +401,22 @@ def circuit_to_matrix(circuit: Circuit, dense_cap: int = DENSE_QUBIT_CAP) -> np.
 
 
 def _dagger_gate(gate: Gate) -> Gate:
+    """Adjoint of a gate. The adjoint of a validated unitary is unitary, so
+    it is built without checking it again."""
+    if isinstance(gate, PhaseOnZero):
+        return PhaseOnZero(-gate.w)
+    m = gate.matrix.conj().T.copy()
+    m.flags.writeable = False
     if isinstance(gate, LocalGate):
-        return LocalGate(gate.positions, gate.matrix.conj().T)
-    if isinstance(gate, ControlledGate):
-        return ControlledGate(gate.controls, gate.target, gate.matrix.conj().T)
-    return PhaseOnZero(-gate.w)
+        return _trusted(LocalGate, positions=gate.positions, matrix=m)
+    return _trusted(ControlledGate, controls=gate.controls, target=gate.target, matrix=m)
 
 
 def circuit_dagger(circuit: Circuit) -> Circuit:
-    """Inverse circuit: reversed gate order, each gate conjugate-transposed."""
-    return Circuit(circuit.n, tuple(_dagger_gate(g) for g in reversed(circuit.gates)))
+    """Inverse circuit: reversed gate order, each gate conjugate-transposed.
+    It touches the qubits of a validated circuit, so it is not checked again."""
+    gates = tuple(_dagger_gate(g) for g in reversed(circuit.gates))
+    return _trusted(Circuit, n=circuit.n, gates=gates)
 
 
 def measure_prefix(state: StateVec, l: int) -> Distribution:

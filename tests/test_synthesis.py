@@ -20,6 +20,7 @@ from qcapprox import (
 )
 from qcapprox.linalg import eig_unitary, gram_schmidt
 from qcapprox.metrics import weak_two_norm
+from qcapprox.synthesis import BRANCH_TOL, IDENTITY_GATE_TOL, _prepare_gates
 from qcapprox.tensor import DomainError
 from helpers import haar_unitary, random_state
 
@@ -59,7 +60,7 @@ def test_prepare_random_states_exact_with_count_bounds():
 
 
 def test_prepare_sparse_state_skips_dead_branches():
-    # amplitude only on |00> and |11>: one block of the recursion is empty
+    # amplitude only on |00> and |11>: the last level needs no rotation where qubit 0 is 0
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[3] = 1 / np.sqrt(2)
     report = prepare_state(StateVec(2, amps))
@@ -67,6 +68,63 @@ def test_prepare_sparse_state_skips_dead_branches():
     assert np.linalg.norm(out.amps - amps) < 1e-12
     controlled = [g for g in report.circuit.gates if isinstance(g, ControlledGate)]
     assert len(controlled) <= 2
+
+
+def _reference_lift(a0, a1):
+    norm = np.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
+    a0, a1 = a0 / norm, a1 / norm
+    return np.array([[a0, -np.conj(a1)], [a1, np.conj(a0)]])
+
+
+def _reference_near_identity(m):
+    return bool(np.abs(m - np.eye(m.shape[0])).max() <= IDENTITY_GATE_TOL)
+
+
+def _reference_prepare_gates(amps, n):
+    """The cascade built recursively, one gate object at a time."""
+    if n == 1:
+        gate = LocalGate((0,), _reference_lift(amps[0], amps[1]))
+        return [] if _reference_near_identity(gate.matrix) else [gate]
+    half = 1 << (n - 1)
+    low, high = amps[:half], amps[half:]
+    weights = np.sqrt(np.abs(low) ** 2 + np.abs(high) ** 2)
+    gates = _reference_prepare_gates(weights.astype(complex), n - 1)
+    for b in range(half):
+        if weights[b] < BRANCH_TOL:
+            continue
+        m = _reference_lift(low[b], high[b])
+        if _reference_near_identity(m):
+            continue
+        controls = tuple((i, (b >> i) & 1) for i in range(n - 1))
+        gates.append(ControlledGate(controls, n - 1, m))
+    return gates
+
+
+def test_prepare_gates_match_recursive_reference():
+    rng = np.random.default_rng(12)
+    states = []
+    for n in (1, 2, 5, 8):
+        states.append(random_state(n, rng))  # Haar
+        real = rng.standard_normal(1 << n)
+        states.append(StateVec(n, real / np.linalg.norm(real)))
+        sparse = random_state(n, rng).amps.copy()
+        sparse[rng.random(1 << n) < 0.6] = 0.0  # zero-weight branches
+        sparse[0] = 1.0
+        states.append(StateVec(n, sparse / np.linalg.norm(sparse)))
+        for b in (0, (1 << n) - 1, int(rng.integers(0, 1 << n))):
+            # one branch survives per level; it rotates only where bit l-1 of b is set
+            assert len(_prepare_gates(StateVec.basis(n, b).amps, n)) == bin(b).count("1")
+            states.append(StateVec.basis(n, b))
+    for u in states:
+        got = _prepare_gates(u.amps, u.n)
+        want = _reference_prepare_gates(u.amps, u.n)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            assert getattr(g, "positions", None) == getattr(w, "positions", None)
+            assert getattr(g, "controls", None) == getattr(w, "controls", None)
+            assert getattr(g, "target", None) == getattr(w, "target", None)
+            assert np.abs(g.matrix - w.matrix).max() <= 1e-13
 
 
 def test_prepare_exact_global_phase():
@@ -172,9 +230,9 @@ def _random_ortho_seq(n, k, rng):
     return OrthoSeq(n, tuple(StateVec(n, q[:, i]) for i in range(k)))
 
 
-@pytest.mark.parametrize("n,k", [(12, 1), (12, 2), (14, 1)])
+@pytest.mark.parametrize("n,k", [(12, 1), (12, 2), (14, 1), (16, 1)])
 def test_transitive_large_n(n, k):
-    # the linear algebra runs on a <= 2k-dimensional subspace, so n = 14 is cheap
+    # the linear algebra runs on a <= 2k-dimensional subspace, so n = 16 is cheap
     rng = np.random.default_rng(n + k)
     seq = _random_ortho_seq(n, k, rng)
     report = synthesize_transitive(seq)

@@ -82,6 +82,32 @@ def test_gate_validation():
         ControlledGate(((1, 0),), 1, X)  # control hits target
     with pytest.raises(DomainError):
         Circuit(2, (LocalGate((5,), X),))  # out of range
+    # the batch constructor rejects what the single-gate form rejects
+    nan = np.array([[0, np.nan], [1, 0]], dtype=complex)
+    skew = np.array([[1, 1], [0, 1]], dtype=complex)
+    for qubits, target, patterns, matrices in (
+        ((0,), 1, [[1], [0]], [X, nan]),
+        ((0,), 1, [[1], [0]], [X, skew]),  # one non-unitary matrix in the stack
+        ((0,), 1, [[2]], [X]),  # bad polarity
+        ((1,), 1, [[0]], [X]),  # control hits target
+        ((0, 2), 1, [[0]], [X]),  # one polarity for two controls
+        ((0,), 1, [[0], [1]], [X]),  # fewer matrices than patterns
+    ):
+        with pytest.raises(DomainError):
+            ControlledGate.batch(qubits, target, patterns, np.array(matrices))
+
+
+def test_controlled_batch_matches_single_gates():
+    rng = np.random.default_rng(4)
+    mats = np.array([haar_unitary(2, rng) for _ in range(3)])
+    patterns = [[0, 1], [1, 1], [0, 0]]
+    gates = ControlledGate.batch([2, 0], 1, patterns, mats)
+    for gate, pattern, m in zip(gates, patterns, mats):
+        single = ControlledGate(((2, pattern[0]), (0, pattern[1])), 1, m)
+        assert gate.controls == single.controls and gate.target == single.target
+        assert np.array_equal(gate.matrix, single.matrix)
+        assert not gate.matrix.flags.writeable
+    assert ControlledGate.batch([], 0, np.zeros((0, 0)), np.zeros((0, 2, 2))) == []
 
 
 def test_embed_x_on_qubit_one():
@@ -186,15 +212,44 @@ def kernel_test_gate(n, rng):
     return ControlledGate(controls, order[0], haar_unitary(2, rng))
 
 
+def kernel_test_run(n, rng):
+    """Up to 8 controlled gates sharing one target and one control-qubit
+    sequence (0 to n-1 controls) with distinct polarity patterns; half the
+    time one pattern comes back later, which must split the run."""
+    order = [int(q) for q in rng.permutation(n)]
+    qubits = order[1:1 + int(rng.integers(0, n))]
+    size = min(1 << len(qubits), int(rng.integers(2, 9)))
+    patterns = [int(b) for b in rng.choice(1 << len(qubits), size=size, replace=False)]
+    if rng.random() < 0.5:
+        patterns.insert(int(rng.integers(1, size + 1)), patterns[0])
+    return [
+        ControlledGate(tuple((q, (b >> j) & 1) for j, q in enumerate(qubits)), order[0], haar_unitary(2, rng))
+        for b in patterns
+    ]
+
+
 def test_circuit_to_matrix_matches_oracle_product():
+    # Four circuits of single random gates, then four of controlled-gate runs
+    # broken by single gates, each against the brute-force product and
+    # against the gates applied one circuit at a time.
     rng = np.random.default_rng(31)
     for n in range(1, 7):
-        for _ in range(4):
-            gates = tuple(kernel_test_gate(n, rng) for _ in range(6))
+        for trial in range(8):
+            if trial < 4:
+                gates = tuple(kernel_test_gate(n, rng) for _ in range(6))
+            else:
+                gates = tuple(
+                    g for i in range(5)
+                    for g in (kernel_test_run(n, rng) if i % 2 == 0 else [kernel_test_gate(n, rng)])
+                )
             want = np.eye(1 << n, dtype=complex)
+            one_by_one = np.eye(1 << n, dtype=complex)
             for gate in gates:
                 want = gate_oracle(gate, n) @ want
-            assert np.allclose(circuit_to_matrix(Circuit(n, gates)), want, atol=1e-12)
+                one_by_one = circuit_to_matrix(Circuit(n, (gate,))) @ one_by_one
+            got = circuit_to_matrix(Circuit(n, gates))
+            assert np.allclose(got, want, atol=1e-12)
+            assert np.allclose(got, one_by_one, atol=1e-12)
 
 
 def test_apply_leaves_input_state_unchanged():
