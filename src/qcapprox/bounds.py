@@ -132,7 +132,7 @@ def _check_common(n: int, k: int, g: int, b: int, eps: float, alpha: float):
         raise DomainError(f"need g >= 1, got {g}")
     if b < 1:
         raise DomainError(f"need b >= 1, got {b}")
-    if eps <= 0 or alpha <= 0:
+    if not (eps > 0 and alpha > 0):
         raise DomainError(f"need eps > 0 and alpha > 0, got eps={eps}, alpha={alpha}")
 
 
@@ -145,8 +145,8 @@ def _check_oracle(n: int, d_size: int, g: int, b: int, q: float):
         raise DomainError(f"need g >= 2, got {g}")
     if b < 2:
         raise DomainError(f"need b >= 2, got {b}")
-    if q <= 1:
-        raise DomainError(f"need q > 1, got {q}")
+    if not 1 < q < math.inf:
+        raise DomainError(f"need finite q > 1, got {q}")
 
 
 def clipped_fraction(log2_value: float) -> float:

@@ -9,6 +9,7 @@ error, 2 I/O or format error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -28,11 +29,17 @@ def _fmt(x) -> str:
 class _Out:
     def __init__(self, fmt: str):
         self.fmt = fmt
+        self._header = None
 
     def row(self, names, values):
+        """One CSV row (its header only when it differs from the last one
+        printed), or one key = value line per column."""
         vals = [_fmt(v) for v in values]
         if self.fmt == "csv":
-            print(",".join(names))
+            header = ",".join(names)
+            if header != self._header:
+                print(header)
+                self._header = header
             print(",".join(vals))
         else:
             for n, v in zip(names, vals):
@@ -68,7 +75,10 @@ def _load_matrix(path: str) -> np.ndarray:
         rows.append([fileio._parse_entry(tok) for tok in ln.split()])
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ParseError(f"{path} is neither a qcircuit file nor a square re:im matrix")
-    return np.array(rows, dtype=complex)
+    m = np.array(rows, dtype=complex)
+    if not np.isfinite(m).all():
+        raise DomainError(f"{path} has a non-finite matrix entry")
+    return m
 
 
 def _emit_circuit(circuit: Circuit, out: str | None) -> None:
@@ -166,93 +176,73 @@ def _cmd_mc(args, out: _Out) -> None:
     )
 
 
+SWEEP_CAP = 1 << 16
+_INT_PARAMS = ("n", "k", "l", "g", "b", "D")
+
+# Bound table -> (parameters in the bound function's order, trailing flags,
+# bound function). The function is looked up by name at call time, so a
+# wrapper installed on the bounds module is the one that runs.
+_TABLES = {
+    "thm34": (("n", "k"), (), "thm34_lower"),
+    "thm41": (("n", "k", "g", "b", "eps", "alpha"), ("variant",), "thm41_log2"),
+    "thm45": (("n", "k", "l", "g", "b", "eps", "alpha"), ("sharp",), "thm45_log2"),
+    "thm51": (("n", "D", "g", "b", "q"), (), "thm51_log2"),
+    "thm53": (("n", "D", "g", "b", "q"), (), "thm53_log2"),
+}
+
+
 def _sweep_values(spec: str):
+    """(name, values) for name=start:stop:step, both ends included: a range
+    for integer parameters, floats accumulated by step otherwise. Refused
+    before any value is built when it would hold more than SWEEP_CAP."""
     name, _, rng = spec.partition("=")
     parts = rng.split(":")
     if len(parts) != 3:
         raise DomainError(f"--sweep wants name=start:stop:step, got {spec!r}")
-    if name in ("n", "k", "l", "g", "b", "D"):
-        start, stop, step = (int(p) for p in parts)
-        if step <= 0:
-            raise DomainError("sweep step must be positive")
-        return name, list(range(start, stop + 1, step))
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0:
+    kind = int if name in _INT_PARAMS else float
+    try:
+        start, stop, step = (kind(p) for p in parts)
+    except ValueError:
+        raise DomainError(f"--sweep wants {kind.__name__} start:stop:step, got {spec!r}") from None
+    if kind is float and not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError(f"sweep ends must be finite, got {spec!r}")
+    if not step > 0:
         raise DomainError("sweep step must be positive")
+    if not (stop - start) // step < SWEEP_CAP:
+        raise DomainError(f"sweep {spec!r} has more than {SWEEP_CAP} values")
+    if kind is int:
+        return name, range(start, stop + 1, step)
     vals = []
     x = start
     while x <= stop + 1e-12:
+        if len(vals) > SWEEP_CAP:  # step below the float spacing near x
+            raise DomainError(f"sweep step {step!r} does not advance past {x!r}")
         vals.append(x)
         x += step
     return name, vals
 
 
-def _bound_row(table: str, p: dict):
-    if table == "thm34":
-        value = bounds.thm34_lower(p["n"], p["k"])
-        return ["n", "k", "value"], [p["n"], p["k"], float(value)]
-    if table == "thm41":
-        v = bounds.thm41_log2(p["n"], p["k"], p["g"], p["b"], p["eps"], p["alpha"], p["variant"])
-        return (
-            ["n", "k", "g", "b", "eps", "alpha", "variant", "log2_bound", "clipped"],
-            [p["n"], p["k"], p["g"], p["b"], p["eps"], p["alpha"], p["variant"],
-             v, bounds.clipped_fraction(v)],
-        )
-    if table == "thm45":
-        v = bounds.thm45_log2(p["n"], p["k"], p["l"], p["g"], p["b"], p["eps"], p["alpha"], p["sharp"])
-        return (
-            ["n", "k", "l", "g", "b", "eps", "alpha", "sharp", "log2_bound", "clipped"],
-            [p["n"], p["k"], p["l"], p["g"], p["b"], p["eps"], p["alpha"], p["sharp"],
-             v, bounds.clipped_fraction(v)],
-        )
-    fn = bounds.thm51_log2 if table == "thm51" else bounds.thm53_log2
-    v = fn(p["n"], p["D"], p["g"], p["b"], p["q"])
-    return (
-        ["n", "D", "g", "b", "q", "log2_bound", "clipped"],
-        [p["n"], p["D"], p["g"], p["b"], p["q"], v, bounds.clipped_fraction(v)],
-    )
-
-
 def _cmd_bounds(args, out: _Out) -> None:
-    params = {
-        "n": args.n, "k": args.k, "l": args.l, "g": args.g, "b": args.b,
-        "eps": args.eps, "alpha": args.alpha, "q": args.q, "D": args.D,
-        "variant": args.variant, "sharp": args.sharp,
-    }
-    needed = {
-        "thm34": ["n", "k"],
-        "thm41": ["n", "k", "g", "b", "eps", "alpha"],
-        "thm45": ["n", "k", "l", "g", "b", "eps", "alpha"],
-        "thm51": ["n", "D", "g", "b", "q"],
-        "thm53": ["n", "D", "g", "b", "q"],
-    }[args.table]
-    missing = [f for f in needed if params[f] is None]
+    params, flags, fn_name = _TABLES[args.table]
+    missing = [f for f in params if getattr(args, f) is None]
     if missing:
         raise DomainError(f"{args.table} needs --{' --'.join(missing)}")
 
-    sweeps = [(None, [None])]
+    swept, vals = None, [None]
     if args.sweep:
-        name, vals = _sweep_values(args.sweep)
-        if name not in needed:
-            raise DomainError(f"cannot sweep {name!r} for table {args.table}")
-        sweeps = [(name, vals)]
+        swept, vals = _sweep_values(args.sweep)
+        if swept not in params:
+            raise DomainError(f"cannot sweep {swept!r} for table {args.table}")
 
-    header_printed = False
-    for name, vals in sweeps:
-        for v in vals:
-            p = dict(params)
-            if name is not None:
-                p[name] = v
-            names, values = _bound_row(args.table, p)
-            vals_s = [_fmt(x) for x in values]
-            if out.fmt == "csv":
-                if not header_printed:
-                    print(",".join(names))
-                    header_printed = True
-                print(",".join(vals_s))
-            else:
-                for nm, vl in zip(names, vals_s):
-                    print(f"{nm} = {vl}")
+    columns = params + flags
+    bound = getattr(bounds, fn_name)
+    for v in vals:
+        row = [v if c == swept else getattr(args, c) for c in columns]
+        value = bound(*row)
+        if args.table == "thm34":
+            out.row(columns + ("value",), row + [float(value)])
+        else:
+            out.row(columns + ("log2_bound", "clipped"), row + [value, bounds.clipped_fraction(value)])
 
 
 def _cmd_advantage(args, out: _Out) -> None:

@@ -159,14 +159,14 @@ def parse_circuit(text: str) -> Circuit:
 
 def format_problem(problem) -> str:
     if isinstance(problem, DecisionProblem):
-        kind, width = "decision", 1
+        kind = "decision"
     elif isinstance(problem, GuessProblem):
-        kind, width = "guess", problem.n
+        kind = "guess"
     else:
         raise ParseError(f"unknown problem type {type(problem).__name__}")
     lines = [PROBLEM_MAGIC, f"n={problem.n}", f"kind={kind}"]
     for b in problem.domain:
-        lines.append(f"{b:0{problem.n}b} {problem.f[b]:0{width}b}")
+        lines.append(f"{b:0{problem.n}b} {problem.f[b]:0{problem.out_bits}b}")
     return "\n".join(lines) + "\n"
 
 

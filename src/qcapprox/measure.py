@@ -91,8 +91,8 @@ def sphere_cap_bound(eps: float, m: int) -> float:
 def simplex_ball_bound(eps: float, dim: int) -> float:
     """Upper bound (2 eps)^(dim-1) on the uniform simplex measure of an
     L1 ball of radius eps."""
-    if eps <= 0:
-        raise DomainError(f"need eps > 0, got {eps}")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"need finite eps > 0, got {eps}")
     if dim < 2:
         raise DomainError(f"need dim >= 2, got {dim}")
     return (2 * eps) ** (dim - 1)
@@ -182,10 +182,19 @@ class McEstimate:
         return self.estimate <= self.bound + sigmas * self.std_error
 
 
-def _finish(hits: int, samples: int, bound: float) -> McEstimate:
+def _mc_estimate(samples: int, stream: RngStream, bound: float, chunk_hits) -> McEstimate:
+    """Hit fraction over `samples` draws and its binomial standard error.
+
+    The draws come in chunks of at most CHUNK; chunk i calls
+    chunk_hits(generator, size) with the stream's i-th jumped substream.
+    """
+    if samples < 1:
+        raise DomainError(f"need samples >= 1, got {samples}")
+    hits = 0
+    for chunk_index, done in enumerate(range(0, samples, CHUNK)):
+        hits += chunk_hits(stream.chunk_generator(chunk_index), min(CHUNK, samples - done))
     p = hits / samples
-    se = math.sqrt(p * (1 - p) / samples)
-    return McEstimate(p, se, samples, bound)
+    return McEstimate(p, math.sqrt(p * (1 - p) / samples), samples, bound)
 
 
 def mc_sphere_cap(
@@ -199,27 +208,20 @@ def mc_sphere_cap(
     Euclidean distance eps of `center` (default e_0), against the
     closed-form cap bound."""
     bound = sphere_cap_bound(eps, m)
-    if samples < 1:
-        raise DomainError(f"need samples >= 1, got {samples}")
     if center is None:
         u = np.zeros(m, dtype=complex)
         u[0] = 1.0
     else:
         u = np.asarray(center, dtype=complex)
-        if u.shape != (m,) or abs(np.linalg.norm(u) - 1) > 1e-9:
+        if u.shape != (m,) or not abs(np.linalg.norm(u) - 1) <= 1e-9:
             raise DomainError(f"center must be a unit vector of C^{m}")
-    hits = 0
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        take = min(CHUNK, samples - done)
-        rng = stream.chunk_generator(chunk_index)
+
+    def chunk_hits(rng: Generator, take: int) -> int:
         z = _complex_gaussian(rng, (take, m))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        hits += int((np.linalg.norm(z - u, axis=1) <= eps).sum())
-        done += take
-        chunk_index += 1
-    return _finish(hits, samples, bound)
+        return int((np.linalg.norm(z - u, axis=1) <= eps).sum())
+
+    return _mc_estimate(samples, stream, bound, chunk_hits)
 
 
 def mc_simplex_ball(
@@ -232,23 +234,16 @@ def mc_simplex_ball(
     """Estimate the uniform simplex measure of the L1 ball of radius eps
     around `center` (default barycenter), against (2 eps)^(dim-1)."""
     bound = simplex_ball_bound(eps, dim)
-    if samples < 1:
-        raise DomainError(f"need samples >= 1, got {samples}")
     if center is None:
         v = np.full(dim, 1.0 / dim)
     else:
         v = np.asarray(center, dtype=float)
-        if v.shape != (dim,) or v.min() < -1e-12 or abs(v.sum() - 1) > 1e-9:
+        if v.shape != (dim,) or not (v.min() >= -1e-12 and abs(v.sum() - 1) <= 1e-9):
             raise DomainError(f"center must be a probability vector of length {dim}")
-    hits = 0
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        take = min(CHUNK, samples - done)
-        rng = stream.chunk_generator(chunk_index)
+
+    def chunk_hits(rng: Generator, take: int) -> int:
         e = rng.standard_exponential((take, dim))
         x = e / e.sum(axis=1, keepdims=True)
-        hits += int((np.abs(x - v).sum(axis=1) <= eps).sum())
-        done += take
-        chunk_index += 1
-    return _finish(hits, samples, bound)
+        return int((np.abs(x - v).sum(axis=1) <= eps).sum())
+
+    return _mc_estimate(samples, stream, bound, chunk_hits)

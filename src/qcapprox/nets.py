@@ -42,8 +42,8 @@ class NetSpec:
         if not 0 < self.delta < 2:
             raise DomainError(f"delta must lie in (0, 2), got {self.delta}")
         rho = self.delta / (2 * self.dim) if self.rho is None else float(self.rho)
-        if rho <= 0:
-            raise DomainError(f"rho must be positive, got {rho}")
+        if not 0 < rho < math.inf:
+            raise DomainError(f"rho must be finite and positive, got {rho}")
         object.__setattr__(self, "rho", rho)
 
     @property
@@ -107,7 +107,6 @@ def decode_index(spec: NetSpec, index: int) -> np.ndarray:
     exact = _grid_count(spec)
     if not 0 <= index < exact:
         raise DomainError(f"index {index} out of range [0, {exact})")
-    values = _axis_values(spec)
     digits = []
     rem = index
     for _ in range(spec.num_axes):
@@ -115,13 +114,7 @@ def decode_index(spec: NetSpec, index: int) -> np.ndarray:
         rem //= spec.axis_points
     digits.reverse()
     d = spec.dim
-    a = np.empty((d, d), dtype=complex)
-    pos = 0
-    for i in range(d):
-        for j in range(d):
-            a[i, j] = values[digits[pos]] + 1j * values[digits[pos + 1]]
-            pos += 2
-    return a
+    return _axis_values(spec)[digits].view(complex).reshape(d, d)  # re, im per entry
 
 
 def _grid_index(spec: NetSpec, a, clamp: bool) -> int:

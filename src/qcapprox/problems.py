@@ -19,50 +19,45 @@ from .tensor import BLOCK_AMPS, Circuit, DomainError, basis_columns
 from .tensor import apply_circuit, measure_prefix  # noqa: F401
 
 
-def _checked_table(n: int, f: dict, out_bits: int) -> dict[int, int]:
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if not f:
-        raise DomainError("domain must be nonempty")
-    table = {}
-    for b, val in f.items():
-        b, val = int(b), int(val)
-        if not 0 <= b < 1 << n:
-            raise DomainError(f"domain point {b} outside [0, {1 << n})")
-        if not 0 <= val < 1 << out_bits:
-            raise DomainError(f"value {val} outside [0, {1 << out_bits})")
-        table[b] = val
-    return table
-
-
 @dataclass(frozen=True)
-class DecisionProblem:
+class _Problem:
+    """Partial function f on n-bit patterns with out_bits-bit values."""
+
+    n: int
+    f: dict
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise DomainError(f"need n >= 1, got {self.n}")
+        if not self.f:
+            raise DomainError("domain must be nonempty")
+        table = {}
+        for b, val in self.f.items():
+            b, val = int(b), int(val)
+            if not 0 <= b < 1 << self.n:
+                raise DomainError(f"domain point {b} outside [0, {1 << self.n})")
+            if not 0 <= val < 1 << self.out_bits:
+                raise DomainError(f"value {val} outside [0, {1 << self.out_bits})")
+            table[b] = val
+        object.__setattr__(self, "f", table)
+
+    @property
+    def domain(self) -> tuple[int, ...]:
+        return tuple(sorted(self.f))
+
+
+class DecisionProblem(_Problem):
     """Partial boolean function on n-bit patterns."""
 
-    n: int
-    f: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "f", _checked_table(self.n, self.f, 1))
-
-    @property
-    def domain(self) -> tuple[int, ...]:
-        return tuple(sorted(self.f))
+    out_bits = 1
 
 
-@dataclass(frozen=True)
-class GuessProblem:
+class GuessProblem(_Problem):
     """Partial n-bit-valued function on n-bit patterns."""
 
-    n: int
-    f: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "f", _checked_table(self.n, self.f, self.n))
-
     @property
-    def domain(self) -> tuple[int, ...]:
-        return tuple(sorted(self.f))
+    def out_bits(self) -> int:
+        return self.n
 
 
 @dataclass(frozen=True)
@@ -74,10 +69,11 @@ class Advantage:
     q: float | None
 
 
-def _worst_case_prob(circuit: Circuit, problem, l: int) -> float:
-    """Smallest probability, over the domain, that the first l output bits
-    read f(b) when the circuit runs on |b>; the inputs run through the
-    circuit together, in blocks of at most BLOCK_AMPS amplitudes."""
+def _worst_case_prob(circuit: Circuit, problem: _Problem) -> float:
+    """Smallest probability, over the domain, that the first
+    problem.out_bits output bits read f(b) when the circuit runs on |b>;
+    the inputs run through the circuit together, in blocks of at most
+    BLOCK_AMPS amplitudes."""
     if circuit.n < problem.n:
         raise DomainError(f"circuit has {circuit.n} qubits, problem needs {problem.n}")
     domain = problem.domain
@@ -86,7 +82,7 @@ def _worst_case_prob(circuit: Circuit, problem, l: int) -> float:
     for start in range(0, len(domain), per_block):
         inputs = domain[start:start + per_block]
         out = basis_columns(circuit, inputs)
-        probs = (np.abs(out) ** 2).reshape(-1, 1 << l, len(inputs)).sum(axis=0)
+        probs = (np.abs(out) ** 2).reshape(-1, 1 << problem.out_bits, len(inputs)).sum(axis=0)
         wanted = probs[[problem.f[b] for b in inputs], np.arange(len(inputs))]
         p_star = min(p_star, float(wanted.min()))
     return p_star
@@ -97,7 +93,7 @@ def decision_advantage(circuit: Circuit, problem: DecisionProblem) -> Advantage:
 
     q = 1 / (2 p* - 1) when p* > 1/2, else None.
     """
-    p_star = _worst_case_prob(circuit, problem, 1)
+    p_star = _worst_case_prob(circuit, problem)
     q = 1.0 / (2 * p_star - 1) if p_star > 0.5 else None
     return Advantage(p_star, q)
 
@@ -107,7 +103,7 @@ def guess_advantage(circuit: Circuit, problem: GuessProblem) -> Advantage:
 
     q = 1 / p* when p* > 0, else None.
     """
-    p_star = _worst_case_prob(circuit, problem, problem.n)
+    p_star = _worst_case_prob(circuit, problem)
     q = 1.0 / p_star if p_star > 0 else None
     return Advantage(p_star, q)
 

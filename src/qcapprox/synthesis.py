@@ -26,6 +26,7 @@ from .tensor import (
     LocalGate,
     PhaseOnZero,
     StateVec,
+    _trusted,
     apply_circuit,
     basis_columns,
     circuit_dagger,
@@ -156,7 +157,8 @@ def extend_to_unitary(v, tol: float = ORTHO_TOL) -> np.ndarray:
 
 
 def _phase_factor_gates(x: StateVec, w: float) -> list:
-    prep = Circuit(x.n, tuple(_prepare_gates(x.amps, x.n)))
+    # Unchecked: synthesize_transitive's final Circuit validates every gate.
+    prep = _trusted(Circuit, n=x.n, gates=tuple(_prepare_gates(x.amps, x.n)))
     return list(circuit_dagger(prep).gates) + [PhaseOnZero(w)] + list(prep.gates)
 
 

@@ -35,3 +35,21 @@ def random_gate(n: int, rng: np.random.Generator):
 
 def random_circuit(n: int, b: int, rng: np.random.Generator) -> Circuit:
     return Circuit(n, tuple(random_gate(n, rng) for _ in range(b)))
+
+
+def assert_same_circuit(got: Circuit, want: Circuit) -> None:
+    """Same qubit count and, gate by gate, the same kind, wires and
+    bit-identical matrix or angle."""
+    assert got.n == want.n
+    assert len(got.gates) == len(want.gates)
+    for g1, g2 in zip(want.gates, got.gates):
+        assert type(g1) is type(g2)
+        if isinstance(g1, LocalGate):
+            assert g1.positions == g2.positions
+            assert np.array_equal(g1.matrix, g2.matrix)
+        elif isinstance(g1, ControlledGate):
+            assert g1.controls == g2.controls
+            assert g1.target == g2.target
+            assert np.array_equal(g1.matrix, g2.matrix)
+        else:
+            assert g1.w == g2.w

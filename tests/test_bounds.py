@@ -75,6 +75,10 @@ def test_thm41_domain():
         thm41_log2(2, 1, 1, 1, 0.1, -0.5)
     with pytest.raises(DomainError):
         thm41_log2(2, 1, 1, 1, 0.1, 0.5, variant="folded")
+    with pytest.raises(DomainError):
+        thm41_log2(2, 1, 1, 1, math.nan, 0.5)
+    with pytest.raises(DomainError):
+        thm41_log2(2, 1, 1, 1, 0.1, math.nan)
 
 
 def test_thm45_boundary_vacuous():
@@ -108,6 +112,8 @@ def test_thm45_domain():
         thm45_log2(4, 2, 0, 1, 3, 0.05, 1.0)
     with pytest.raises(DomainError):
         thm45_log2(4, 2, 5, 1, 3, 0.05, 1.0)
+    with pytest.raises(DomainError):
+        thm45_log2(4, 2, 2, 1, 3, math.nan, 1.0)
 
 
 def test_thm51_frozen_values():
@@ -124,6 +130,9 @@ def test_thm51_domain():
         thm51_log2(8, 256, 2, 1, 4.0)  # b >= 2
     with pytest.raises(DomainError):
         thm51_log2(8, 256, 2, 4, 1.0)  # q > 1
+    for q in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            thm51_log2(8, 256, 2, 4, q)
 
 
 def test_thm53_frozen_value():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcapprox import __version__
-from qcapprox.cli import main
+from qcapprox.cli import _sweep_values, main
 from qcapprox.fileio import (
     _fmt_entry,
     format_problem,
@@ -12,7 +12,7 @@ from qcapprox.fileio import (
     write_state,
 )
 from qcapprox.problems import DecisionProblem
-from qcapprox.tensor import Circuit, StateVec
+from qcapprox.tensor import Circuit, DomainError, StateVec
 from helpers import haar_unitary, random_state
 
 
@@ -203,6 +203,10 @@ def test_bounds_sweep(capsys):
     lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
     assert len(lines) == 4  # header + three swept rows
     assert lines[0].endswith("log2_bound,clipped")
+    assert _sweep_values("b=2:10:4") == ("b", range(2, 11, 4))
+    assert _sweep_values("q=1.5:2:0.25") == ("q", [1.5, 1.75, 2.0])
+    with pytest.raises(DomainError):  # a step below the float spacing never advances
+        _sweep_values("q=1e20:1.0000000000000002e20:1")
 
 
 def test_bounds_text_format(capsys):
@@ -232,13 +236,30 @@ def test_advantage_flow(tmp_path, capsys):
     assert table["q"] == "1"
 
 
-def test_exit_code_domain_error(capsys):
-    code, _, err = run(
-        capsys, "bounds", "--table", "thm51", "--n", "8", "--g", "1", "--b", "4",
-        "--q", "4", "--D", "256",
-    )
-    assert code == 1
-    assert "error:" in err
+def test_exit_code_domain_error(tmp_path, capsys):
+    nan_matrix = tmp_path / "nan.mat"
+    nan_matrix.write_text("nan:0 0:0\n0:0 1:0\n")
+    thm41 = ["bounds", "--table", "thm41", "--n", "6", "--k", "4", "--g", "2", "--b", "100"]
+    thm51 = ["bounds", "--table", "thm51", "--n", "8", "--g", "2", "--b", "4", "--D", "256"]
+    cases = [
+        ["bounds", "--table", "thm51", "--n", "8", "--g", "1", "--b", "4", "--q", "4", "--D", "256"],
+        thm41 + ["--eps", "nan", "--alpha", "0.5"],
+        thm41 + ["--eps", "0.1", "--alpha", "nan"],
+        thm51 + ["--q", "nan"],
+        ["mc", "--experiment", "simplex-ball", "--N", "4", "--eps", "nan", "--samples", "10"],
+        ["net", "--g", "1", "--delta", "1", "--rho", "nan", "--count"],
+        ["dist", "--metric", "frobenius", "--a", str(nan_matrix), "--b", str(nan_matrix)],
+        ["dist", "--metric", "weak2", "--a", str(nan_matrix), "--b", str(nan_matrix), "--k", "1"],
+        ["dist", "--metric", "two", "--a", str(nan_matrix), "--b", str(nan_matrix)],
+        # sweeps refused before any value is built
+        thm51 + ["--q", "4", "--sweep", "b=2:1000000000000000000:1"],
+        thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "eps=0.1:inf:0.1"],
+        thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "k=1:x:1"],
+    ]
+    for argv in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
 def test_exit_code_missing_file(capsys):

@@ -16,7 +16,7 @@ from qcapprox.fileio import (
 )
 from qcapprox.problems import DecisionProblem, GuessProblem
 from qcapprox.tensor import Circuit, ControlledGate, DomainError, LocalGate, PhaseOnZero, StateVec
-from helpers import random_circuit, random_state
+from helpers import assert_same_circuit, random_circuit, random_state
 
 
 def test_state_round_trip_bit_exact():
@@ -63,20 +63,7 @@ def test_circuit_round_trip_bit_exact():
     for _ in range(20):
         n = int(rng.integers(1, 5))
         c = random_circuit(n, 5, rng)
-        back = parse_circuit(format_circuit(c))
-        assert back.n == c.n
-        assert len(back.gates) == len(c.gates)
-        for g1, g2 in zip(c.gates, back.gates):
-            assert type(g1) is type(g2)
-            if isinstance(g1, LocalGate):
-                assert g1.positions == g2.positions
-                assert np.array_equal(g1.matrix, g2.matrix)
-            elif isinstance(g1, ControlledGate):
-                assert g1.controls == g2.controls
-                assert g1.target == g2.target
-                assert np.array_equal(g1.matrix, g2.matrix)
-            else:
-                assert g1.w == g2.w
+        assert_same_circuit(parse_circuit(format_circuit(c)), c)
 
 
 def test_zero_control_gate_round_trip():

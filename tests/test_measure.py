@@ -154,8 +154,9 @@ def test_simplex_ball_bound_values():
         assert simplex_ball_bound(0.5, dim) == 1.0
     assert simplex_ball_bound(0.25, 4) == 0.125
     assert abs(simplex_ball_bound(0.1, 8) - 0.2**7) < 1e-18
-    with pytest.raises(DomainError):
-        simplex_ball_bound(0.0, 4)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            simplex_ball_bound(eps, 4)
     with pytest.raises(DomainError):
         simplex_ball_bound(0.1, 1)
 
@@ -218,6 +219,8 @@ def test_mc_sphere_cap_domain_gate():
         mc_sphere_cap(0.5, 3, 0, RngStream(0))
     with pytest.raises(DomainError):
         mc_sphere_cap(0.5, 3, 10, RngStream(0), center=np.ones(3, dtype=complex))
+    with pytest.raises(DomainError):
+        mc_sphere_cap(0.5, 3, 10, RngStream(0), center=np.array([np.nan, 0, 0]))
 
 
 def test_mc_sphere_cap_bit_reproducible():
@@ -227,7 +230,7 @@ def test_mc_sphere_cap_bit_reproducible():
 
 
 def test_mc_sphere_cap_matches_chunk_oracle():
-    # re-derive the estimate from the documented per-chunk substreams
+    # re-derive both estimates from the documented per-chunk substreams
     samples = CHUNK + 7
     stream = RngStream(13, 5)
     est = mc_sphere_cap(1.0, 3, samples, stream)
@@ -240,6 +243,15 @@ def test_mc_sphere_cap_matches_chunk_oracle():
         u[0] = 1.0
         hits += int((np.linalg.norm(z - u, axis=1) <= 1.0).sum())
     assert est.estimate == hits / samples
+
+    est = mc_simplex_ball(0.5, 4, samples, stream)
+    hits = 0
+    for i, take in enumerate((CHUNK, 7)):
+        e = stream.chunk_generator(i).standard_exponential((take, 4))
+        x = e / e.sum(axis=1, keepdims=True)
+        hits += int((np.abs(x - 0.25).sum(axis=1) <= 0.5).sum())
+    assert est.estimate == hits / samples
+    assert est.std_error == math.sqrt(est.estimate * (1 - est.estimate) / samples)
 
 
 def test_mc_sphere_cap_paired_monotonicity():
@@ -272,6 +284,8 @@ def test_mc_simplex_ball_extremes():
 def test_mc_simplex_ball_center_validation():
     with pytest.raises(DomainError):
         mc_simplex_ball(0.25, 4, 10, RngStream(0), center=np.array([0.5, 0.5, 0.5, -0.5]))
+    with pytest.raises(DomainError):
+        mc_simplex_ball(0.25, 4, 10, RngStream(0), center=np.array([np.nan, 0.5, 0.25, 0.25]))
 
 
 def test_mc_simplex_ball_random_interior_center():

@@ -26,6 +26,9 @@ def test_spec_validation():
         NetSpec(1, 2.0)
     with pytest.raises(DomainError):
         NetSpec(1, 1.0, rho=-0.1)
+    for rho in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            NetSpec(1, 1.0, rho=rho)
 
 
 def test_default_rho_and_axis_points():
