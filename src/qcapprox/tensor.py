@@ -56,6 +56,15 @@ def _check_unitary(matrix: np.ndarray, name: str, tol: float = UNITARY_TOL) -> n
     return m
 
 
+def _unit_amps(amps: np.ndarray) -> np.ndarray:
+    """`amps` itself, made read-only, after checking that its norm is 1."""
+    norm = np.linalg.norm(amps)
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise DomainError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL:.0e}")
+    amps.flags.writeable = False
+    return amps
+
+
 @dataclass(frozen=True)
 class StateVec:
     """Normalized state of n qubits: 2**n complex amplitudes."""
@@ -69,11 +78,7 @@ class StateVec:
         amps = _as_complex_array(self.amps, "amps").copy()
         if amps.shape[0] != 1 << self.n:
             raise DomainError(f"expected {1 << self.n} amplitudes, got {amps.shape[0]}")
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise DomainError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL:.0e}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", _unit_amps(amps))
 
     @staticmethod
     def zero(n: int) -> "StateVec":
@@ -121,8 +126,8 @@ def _check_wires(qubits: list, target: int) -> None:
 
 
 def _trusted(cls, **fields):
-    """An instance of a frozen gate or circuit class from fields that are
-    already validated, skipping its __post_init__ checks."""
+    """An instance of a frozen dataclass from fields that are already
+    validated, skipping its __post_init__ checks."""
     gate = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(gate, name, value)
@@ -296,20 +301,30 @@ def embed_gate(gate: Gate, n: int, dense_cap: int = DENSE_QUBIT_CAP) -> np.ndarr
 def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
     """Apply gates in order to every column of a (2**n, B) block.
 
-    The block is viewed as a [2]*n + [B] tensor whose axis n-1-q is qubit
-    q. A run is a stretch of consecutive ControlledGates with the same
-    target, the same control qubits in the same order and pairwise
-    distinct polarity patterns: its gates act on disjoint amplitude pairs,
-    so they commute and the run is one step (see _apply_run). Phase-on-zero
-    gates scale one entry in place; a local gate contracts into a fresh
-    tensor. Returns the (2**n, B) result, which may share memory with
-    `block`.
+    The block is viewed as a C-contiguous [2]*n + [B] tensor whose axis
+    n-1-q is qubit q, and the state stays C-contiguous for the whole run:
+    - A run is a stretch of consecutive ControlledGates with at least one
+      control, the same target, the same control qubits in the same order
+      and pairwise distinct polarity patterns. Its gates act on disjoint
+      amplitude pairs, so they commute and the run is one in-place step
+      (see _apply_run). Phase-on-zero gates scale one entry in place.
+    - A local gate, or a controlled gate without controls, writes its
+      result into a spare tensor of the block's shape, allocated on first
+      need, and the two tensors swap (see _apply_local). On adjacent
+      qubits p..p+g-1, in any order, it is one matmul over the contiguous
+      (2**(n-p-g), 2**g, 2**p * B) view of the state. On other qubits it
+      is a contraction written slab by slab: a transposed copy of the
+      slab with the gate axes first, one matmul, and one strided write.
+    Peak memory is the block, the spare and the slab temporaries, which
+    stay within a quarter of a block from 2**16 amplitudes up. Returns the
+    (2**n, B) result, which is `block` or the spare.
     """
     t = block.reshape([2] * n + [block.shape[1]])
+    spare = None
     key, run = None, {}  # (target, control qubits) and pattern -> matrix
     for gate in gates:
-        if isinstance(gate, ControlledGate):
-            qubits, pattern = tuple(zip(*gate.controls)) or ((), ())
+        if isinstance(gate, ControlledGate) and gate.controls:
+            qubits, pattern = tuple(zip(*gate.controls))
             if (gate.target, qubits) == key and pattern not in run:
                 run[pattern] = gate.matrix
                 continue
@@ -318,17 +333,64 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
             continue
         _apply_run(t, n, key, run)
         key, run = None, {}
-        if isinstance(gate, LocalGate):
-            g = gate.arity
-            mr = gate.matrix.reshape([2] * (2 * g))
-            # Input axes of mr run over local bits g-1..0; line the state axes up.
-            state_axes = [n - 1 - gate.positions[g - 1 - i] for i in range(g)]
-            t = np.tensordot(mr, t, axes=(list(range(g, 2 * g)), state_axes))
-            t = np.moveaxis(t, list(range(g)), state_axes)
-        else:
+        if isinstance(gate, PhaseOnZero):
             t[(0,) * n] *= np.exp(1j * gate.w)
+            continue
+        if spare is None:
+            spare = np.empty_like(t)
+        positions = gate.positions if isinstance(gate, LocalGate) else (gate.target,)
+        _apply_local(t, spare, n, positions, gate.matrix)
+        t, spare = spare, t
     _apply_run(t, n, key, run)
     return t.reshape(block.shape)
+
+
+# A gate on adjacent qubits p..p+g-1 is a (d, d) matrix, d = 2**g, applied
+# to the middle axis of the contiguous (X, d, Y) view of the state, where
+# Y = 2**p * B. While d * Y is at most this, the matrix is widened to
+# kron(M, I_Y) and the whole state is one (X, d*Y) gemm; past it, one gemm
+# per (d, Y) slice is faster (measured at n = 10 to 20 and B = 1 to 16
+# with one BLAS thread: the crossover sits between d*Y = 40 and 48).
+_WIDEN_MAX = 32
+# A gate on non-adjacent qubits is contracted slab by slab, in at most
+# 2**_SLAB_AXES slabs of at least 2**_SLAB_BITS amplitudes. From 2**16
+# amplitudes up, its transposed input and fresh output take an eighth of a
+# block each; smaller blocks are cut in fewer slabs, or none, since a slab
+# costs 10-25 us of call overhead.
+_SLAB_AXES = 3
+_SLAB_BITS = 13
+
+
+def _apply_local(src: np.ndarray, dst: np.ndarray, n: int, positions, m: np.ndarray) -> None:
+    """Write the local gate `m` on `positions` applied to the state tensor
+    src into dst, a C-contiguous tensor of the same shape."""
+    g, d = len(positions), 1 << len(positions)
+    # Local bit g-1-k of m's rows and columns is state axis gate_axes[k].
+    gate_axes = [n - 1 - q for q in reversed(positions)]
+    p = min(positions)
+    if max(positions) - p == g - 1:
+        # Renumber the matrix's bits in the state's order: local bit i on qubit p + i.
+        order = sorted(range(g), key=gate_axes.__getitem__)
+        m = m.reshape([2] * (2 * g)).transpose(order + [g + k for k in order]).reshape(d, d)
+        x, y = 1 << (n - p - g), src.shape[-1] << p
+        if d * y <= _WIDEN_MAX:
+            w = (m[:, None, :, None] * np.eye(y)[:, None]).reshape(d * y, d * y)  # kron(m, I_y)
+            np.matmul(src.reshape(x, d * y), w.T, out=dst.reshape(x, d * y))
+        else:
+            np.matmul(m, src.reshape(x, d, y), out=dst.reshape(x, d, y))
+        return
+    s = min(_SLAB_AXES, (src.size >> (_SLAB_BITS + 1)).bit_length())
+    slab_axes = [a for a in range(n) if a not in gate_axes][:s]
+    # Within a slab: the gate axes first, in m's bit order, then the rest.
+    rest = [a for a in range(n + 1) if a not in slab_axes]
+    perm = [rest.index(a) for a in gate_axes]
+    perm += [k for k in range(n + 1 - s) if k not in perm]
+    for bits in range(1 << s):
+        index = [slice(None)] * (n + 1)
+        for j, a in enumerate(slab_axes):
+            index[a] = (bits >> j) & 1
+        slab = src[tuple(index)].transpose(perm)
+        dst[tuple(index)].transpose(perm)[...] = (m @ slab.reshape(d, -1)).reshape(slab.shape)
 
 
 def _apply_run(t: np.ndarray, n: int, key, run: dict) -> None:
@@ -389,7 +451,9 @@ def apply_circuit(circuit: Circuit, state: StateVec) -> StateVec:
     if circuit.n > SIM_QUBIT_CAP:
         raise DomainError(f"simulation capped at {SIM_QUBIT_CAP} qubits, got {circuit.n}")
     amps = _run_gates(circuit.gates, circuit.n, state.amps.reshape(-1, 1).copy())
-    return StateVec(circuit.n, amps[:, 0])
+    # The kernel's column has the state's length and dtype: it is frozen in
+    # place, without the copy StateVec makes of outside arrays.
+    return _trusted(StateVec, n=circuit.n, amps=_unit_amps(amps[:, 0]))
 
 
 def circuit_to_matrix(circuit: Circuit, dense_cap: int = DENSE_QUBIT_CAP) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Shared test utilities: random unitaries, states and circuits."""
+"""Shared test utilities: random unitaries, states and circuits, and the
+brute-force dense oracle for gates."""
 
 import numpy as np
 
@@ -53,3 +54,36 @@ def assert_same_circuit(got: Circuit, want: Circuit) -> None:
             assert np.array_equal(g1.matrix, g2.matrix)
         else:
             assert g1.w == g2.w
+
+
+def embed_oracle(positions, matrix, n):
+    """Brute-force bit reindexing: U[b', b] = M[loc(b'), loc(b)] where the
+    local index collects the bits at `positions` and all other bits agree."""
+    dim = 1 << n
+    g = len(positions)
+    u = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim):
+        loc_in = sum(((b >> q) & 1) << j for j, q in enumerate(positions))
+        for loc_out in range(1 << g):
+            bp = b
+            for j, q in enumerate(positions):
+                bp &= ~(1 << q)
+                bp |= ((loc_out >> j) & 1) << q
+            u[bp, b] += matrix[loc_out, loc_in]
+    return u
+
+
+def gate_oracle(gate, n):
+    """Dense matrix of any gate through embed_oracle: a controlled gate is a
+    local gate on (target, *controls) that acts only where every control
+    matches, and phase-on-zero is a diagonal local gate on all qubits."""
+    if isinstance(gate, LocalGate):
+        return embed_oracle(gate.positions, gate.matrix, n)
+    if isinstance(gate, PhaseOnZero):
+        diag = np.ones(1 << n, dtype=complex)
+        diag[0] = np.exp(1j * gate.w)
+        return embed_oracle(tuple(range(n)), np.diag(diag), n)
+    pattern = sum(p << (j + 1) for j, (_, p) in enumerate(gate.controls))
+    m = np.eye(2 << len(gate.controls), dtype=complex)
+    m[pattern:pattern + 2, pattern:pattern + 2] = gate.matrix
+    return embed_oracle((gate.target,) + tuple(q for q, _ in gate.controls), m, n)

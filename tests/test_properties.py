@@ -1,4 +1,5 @@
-"""Property tests: file round trips, net index round trips, circuit inverses.
+"""Property tests: file round trips, net index round trips, circuit inverses,
+the gate kernel against the dense oracle, and the metric inequalities.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same inputs.
@@ -17,6 +18,7 @@ from qcapprox.fileio import (
     parse_problem,
     parse_state,
 )
+from qcapprox.metrics import frobenius_norm, tv_operators, tv_states, two_norm, weak_two_norm
 from qcapprox.nets import NetSpec, _axis_values, decode_index, encode_matrix
 from qcapprox.problems import DecisionProblem, GuessProblem
 from qcapprox.tensor import (
@@ -25,10 +27,11 @@ from qcapprox.tensor import (
     LocalGate,
     PhaseOnZero,
     StateVec,
+    _run_gates,
     circuit_dagger,
     circuit_to_matrix,
 )
-from helpers import assert_same_circuit, haar_unitary
+from helpers import assert_same_circuit, gate_oracle, haar_unitary
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=40)
 GATE_KINDS = ("local", "ctrl", "phase")
@@ -68,12 +71,16 @@ def gates(draw, n, kind):
 
 
 @st.composite
-def circuits(draw, max_n):
-    """A circuit holding at least one gate of every kind, zero-control
-    controlled gates included."""
-    n = draw(st.integers(1, max_n))
+def gate_lists(draw, n):
+    """At least one gate of every kind, zero-control controlled gates included."""
     kinds = list(GATE_KINDS) + draw(st.lists(st.sampled_from(GATE_KINDS), max_size=5))
-    return Circuit(n, tuple(draw(gates(n, kind)) for kind in draw(st.permutations(kinds))))
+    return tuple(draw(gates(n, kind)) for kind in draw(st.permutations(kinds)))
+
+
+@st.composite
+def circuits(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    return Circuit(n, draw(gate_lists(n)))
 
 
 @PROPERTY
@@ -135,3 +142,72 @@ def test_decode_encode_round_trip(spec_index):
 def test_circuit_dagger_inverts(circuit):
     product = circuit_to_matrix(circuit_dagger(circuit)) @ circuit_to_matrix(circuit)
     assert np.abs(product - np.eye(1 << circuit.n)).max() <= 1e-12
+
+
+POSITION_KINDS = ("ascending", "descending", "wrap", "scattered")
+
+
+@st.composite
+def kernel_gates(draw, n):
+    """A short gate list for the kernel: local gates on adjacent qubits in
+    ascending or descending order, on a cyclic run that may wrap from qubit
+    n-1 to 0, or on scattered qubits; controlled gates with and without
+    controls; a run of controlled gates sharing target and control qubits
+    with distinct polarity patterns; and phase-on-zero."""
+    out = []
+    for kind in draw(st.lists(st.sampled_from(("local", "ctrl", "run", "phase")), min_size=1, max_size=6)):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        wires = draw(st.permutations(range(n)))
+        if kind == "local":
+            g = draw(st.integers(1, min(n, 3)))
+            placement = draw(st.sampled_from(POSITION_KINDS))
+            start = draw(st.integers(0, n - 1 if placement == "wrap" else n - g))
+            positions = [(start + j) % n for j in range(g)]
+            if placement == "descending":
+                positions.reverse()
+            elif placement == "scattered":
+                positions = wires[:g]
+            out.append(LocalGate(tuple(positions), haar_unitary(1 << g, rng)))
+        elif kind == "run" and n >= 2:
+            qubits = wires[1:draw(st.integers(2, n))]
+            patterns = draw(st.lists(st.integers(0, (1 << len(qubits)) - 1), min_size=1, max_size=4, unique=True))
+            out.extend(
+                ControlledGate(tuple((q, (b >> j) & 1) for j, q in enumerate(qubits)), wires[0], haar_unitary(2, rng))
+                for b in patterns
+            )
+        else:
+            out.append(draw(gates(n, "phase" if kind == "phase" else "ctrl")))
+    return out
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.data())
+def test_run_gates_matches_oracle_product(data):
+    n = data.draw(st.integers(1, 6))
+    gate_list = data.draw(kernel_gates(n))
+    cols = data.draw(st.sampled_from((0, 1, 3, 1 << n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    block = rng.standard_normal((1 << n, cols)) + 1j * rng.standard_normal((1 << n, cols))
+    want = block
+    for gate in gate_list:
+        want = gate_oracle(gate, n) @ want
+    got = _run_gates(gate_list, n, block.copy())
+    assert got.shape == block.shape and got.flags.c_contiguous
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.data())
+def test_metric_norm_chain_and_tv_bounds(data):
+    n = data.draw(st.integers(1, 5))
+    a = circuit_to_matrix(Circuit(n, data.draw(gate_lists(n))))
+    b = circuit_to_matrix(Circuit(n, data.draw(gate_lists(n))))
+    l = data.draw(st.integers(1, n))
+    k = data.draw(st.integers(1, 1 << n))
+    d = a - b
+    tol = 1e-12
+    assert tv_operators(a, b, l, k) <= 2 * weak_two_norm(d, k) + tol
+    assert weak_two_norm(d, k) <= two_norm(d) + tol
+    assert two_norm(d) <= frobenius_norm(d) + tol
+    u, v = StateVec(n, a[:, k - 1]), StateVec(n, b[:, k - 1])
+    assert tv_states(u, v, l) <= 2 * np.linalg.norm(u.amps - v.amps) + tol

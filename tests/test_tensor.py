@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,28 +20,9 @@ from qcapprox import (
     measure_prefix,
 )
 from qcapprox.tensor import SIM_QUBIT_CAP
-from helpers import haar_unitary, random_circuit, random_state
+from helpers import embed_oracle, gate_oracle, haar_unitary, random_circuit, random_state
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def embed_oracle(positions, matrix, n):
-    """Brute-force bit reindexing: U[b', b] = M[loc(b'), loc(b)] where the
-    local index collects the bits at `positions` and all other bits agree."""
-    dim = 1 << n
-    g = len(positions)
-    u = np.zeros((dim, dim), dtype=complex)
-    rest = [q for q in range(n) if q not in positions]
-    for b in range(dim):
-        loc_in = sum(((b >> q) & 1) << j for j, q in enumerate(positions))
-        for loc_out in range(1 << g):
-            bp = b
-            for j, q in enumerate(positions):
-                bp &= ~(1 << q)
-                bp |= ((loc_out >> j) & 1) << q
-            u[bp, b] += matrix[loc_out, loc_in]
-    assert all(((b >> q) & 1) == ((b >> q) & 1) for q in rest for b in range(dim))
-    return u
 
 
 def test_state_validation():
@@ -181,22 +164,6 @@ def test_apply_vs_matrix_random_pairs():
         assert np.linalg.norm(direct - via_matrix) <= 1e-9
 
 
-def gate_oracle(gate, n):
-    """Dense matrix of any gate through embed_oracle: a controlled gate is a
-    local gate on (target, *controls) that acts only where every control
-    matches, and phase-on-zero is a diagonal local gate on all qubits."""
-    if isinstance(gate, LocalGate):
-        return embed_oracle(gate.positions, gate.matrix, n)
-    if isinstance(gate, PhaseOnZero):
-        diag = np.ones(1 << n, dtype=complex)
-        diag[0] = np.exp(1j * gate.w)
-        return embed_oracle(tuple(range(n)), np.diag(diag), n)
-    pattern = sum(p << (j + 1) for j, (_, p) in enumerate(gate.controls))
-    m = np.eye(2 << len(gate.controls), dtype=complex)
-    m[pattern:pattern + 2, pattern:pattern + 2] = gate.matrix
-    return embed_oracle((gate.target,) + tuple(q for q, _ in gate.controls), m, n)
-
-
 def kernel_test_gate(n, rng):
     """A local gate of arity 1-3, a controlled gate with no controls or with
     every other qubit as a control (random polarities), or phase-on-zero."""
@@ -261,6 +228,45 @@ def test_apply_leaves_input_state_unchanged():
         out = apply_circuit(Circuit(n, gates), s)
         assert np.array_equal(s.amps, before)
         assert not np.shares_memory(out.amps, s.amps)
+
+
+def test_apply_peak_memory_and_result_layout():
+    # The input copy and one spare buffer, plus at most a quarter of a state
+    # of slab temporaries for a gate on non-adjacent qubits.
+    rng = np.random.default_rng(14)
+    n = 16
+    s = random_state(n, rng)
+    before = s.amps.copy()
+    for gates in (
+        (LocalGate((3, 4), haar_unitary(4, rng)), LocalGate((15, 14, 13), haar_unitary(8, rng))),
+        (LocalGate((15, 0), haar_unitary(4, rng)), LocalGate((0, 8, 15), haar_unitary(8, rng))),
+        (ControlledGate((), 5, X), ControlledGate((), 0, haar_unitary(2, rng))),
+    ):
+        tracemalloc.start()
+        try:
+            out = apply_circuit(Circuit(n, gates), s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * s.amps.nbytes
+        assert out.amps.flags.c_contiguous and not out.amps.flags.writeable
+        assert np.array_equal(s.amps, before)
+
+
+def test_non_adjacent_gates_in_slabs_match_oracle():
+    # Blocks of 2**14 and 2**16 amplitudes, contracted in two and in eight
+    # slabs, with gate qubits among the leading axes the slabs are cut from.
+    rng = np.random.default_rng(15)
+    n = 10
+    c = Circuit(n, tuple(
+        LocalGate(pos, haar_unitary(1 << len(pos), rng)) for pos in ((9, 0), (0, 5, 9), (8, 1, 9), (3, 7))
+    ))
+    want = np.eye(1 << n, dtype=complex)
+    for gate in c.gates:
+        want = gate_oracle(gate, n) @ want
+    for cols in (16, 64):
+        inputs = rng.choice(1 << n, size=cols, replace=False)
+        assert np.allclose(basis_columns(c, inputs), want[:, inputs], atol=1e-12)
 
 
 def test_basis_columns_match_matrix_columns():
