@@ -316,8 +316,10 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
       is a contraction written slab by slab: a transposed copy of the
       slab with the gate axes first, one matmul, and one strided write.
     Peak memory is the block, the spare and the slab temporaries, which
-    stay within a quarter of a block from 2**16 amplitudes up. Returns the
-    (2**n, B) result, which is `block` or the spare.
+    stay within a quarter of a block from 2**16 amplitudes up when the gate
+    leaves at least three qubits untouched (a wider gate is cut in fewer,
+    larger slabs). Returns the (2**n, B) result, which is `block` or the
+    spare.
     """
     t = block.reshape([2] * n + [block.shape[1]])
     spare = None
@@ -379,8 +381,10 @@ def _apply_local(src: np.ndarray, dst: np.ndarray, n: int, positions, m: np.ndar
         else:
             np.matmul(m, src.reshape(x, d, y), out=dst.reshape(x, d, y))
         return
-    s = min(_SLAB_AXES, (src.size >> (_SLAB_BITS + 1)).bit_length())
-    slab_axes = [a for a in range(n) if a not in gate_axes][:s]
+    cuts = min(_SLAB_AXES, (src.size >> (_SLAB_BITS + 1)).bit_length())
+    # A wide gate may leave fewer untouched qubits than cuts: its slabs are larger.
+    slab_axes = [a for a in range(n) if a not in gate_axes][:cuts]
+    s = len(slab_axes)
     # Within a slab: the gate axes first, in m's bit order, then the rest.
     rest = [a for a in range(n + 1) if a not in slab_axes]
     perm = [rest.index(a) for a in gate_axes]

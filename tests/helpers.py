@@ -38,6 +38,48 @@ def random_circuit(n: int, b: int, rng: np.random.Generator) -> Circuit:
     return Circuit(n, tuple(random_gate(n, rng) for _ in range(b)))
 
 
+LOCAL_PLACEMENTS = ("ascending", "descending", "wrap", "scattered")
+
+
+def kernel_gate(n: int, rng: np.random.Generator):
+    """A local gate of arity 1-3 on adjacent qubits in ascending or
+    descending order, on a cyclic run that may wrap from qubit n-1 to 0, or
+    on scattered qubits; a controlled gate with no controls or with every
+    other qubit as a control (random polarities); or phase-on-zero."""
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        g = int(rng.integers(1, min(n, 3) + 1))
+        placement = LOCAL_PLACEMENTS[int(rng.integers(0, len(LOCAL_PLACEMENTS)))]
+        start = int(rng.integers(0, (n if placement == "wrap" else n - g + 1)))
+        positions = [(start + j) % n for j in range(g)]
+        if placement == "descending":
+            positions.reverse()
+        elif placement == "scattered":
+            positions = [int(q) for q in rng.choice(n, size=g, replace=False)]
+        return LocalGate(tuple(positions), haar_unitary(1 << g, rng))
+    if kind == 3:
+        return PhaseOnZero(float(rng.uniform(-np.pi, np.pi)))
+    order = [int(q) for q in rng.permutation(n)]
+    controls = () if kind == 1 else tuple((q, int(rng.integers(0, 2))) for q in order[1:])
+    return ControlledGate(controls, order[0], haar_unitary(2, rng))
+
+
+def kernel_run(n: int, rng: np.random.Generator):
+    """Up to 8 controlled gates sharing one target and one control-qubit
+    sequence (0 to n-1 controls) with distinct polarity patterns; half the
+    time one pattern comes back later, which must split the run."""
+    order = [int(q) for q in rng.permutation(n)]
+    qubits = order[1:1 + int(rng.integers(0, n))]
+    size = min(1 << len(qubits), int(rng.integers(2, 9)))
+    patterns = [int(b) for b in rng.choice(1 << len(qubits), size=size, replace=False)]
+    if rng.random() < 0.5:
+        patterns.insert(int(rng.integers(1, size + 1)), patterns[0])
+    return [
+        ControlledGate(tuple((q, (b >> j) & 1) for j, q in enumerate(qubits)), order[0], haar_unitary(2, rng))
+        for b in patterns
+    ]
+
+
 def assert_same_circuit(got: Circuit, want: Circuit) -> None:
     """Same qubit count and, gate by gate, the same kind, wires and
     bit-identical matrix or angle."""

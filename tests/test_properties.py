@@ -31,7 +31,7 @@ from qcapprox.tensor import (
     circuit_dagger,
     circuit_to_matrix,
 )
-from helpers import assert_same_circuit, gate_oracle, haar_unitary
+from helpers import assert_same_circuit, gate_oracle, haar_unitary, kernel_gate, kernel_run
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=40)
 GATE_KINDS = ("local", "ctrl", "phase")
@@ -144,40 +144,14 @@ def test_circuit_dagger_inverts(circuit):
     assert np.abs(product - np.eye(1 << circuit.n)).max() <= 1e-12
 
 
-POSITION_KINDS = ("ascending", "descending", "wrap", "scattered")
-
-
 @st.composite
 def kernel_gates(draw, n):
-    """A short gate list for the kernel: local gates on adjacent qubits in
-    ascending or descending order, on a cyclic run that may wrap from qubit
-    n-1 to 0, or on scattered qubits; controlled gates with and without
-    controls; a run of controlled gates sharing target and control qubits
-    with distinct polarity patterns; and phase-on-zero."""
-    out = []
-    for kind in draw(st.lists(st.sampled_from(("local", "ctrl", "run", "phase")), min_size=1, max_size=6)):
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        wires = draw(st.permutations(range(n)))
-        if kind == "local":
-            g = draw(st.integers(1, min(n, 3)))
-            placement = draw(st.sampled_from(POSITION_KINDS))
-            start = draw(st.integers(0, n - 1 if placement == "wrap" else n - g))
-            positions = [(start + j) % n for j in range(g)]
-            if placement == "descending":
-                positions.reverse()
-            elif placement == "scattered":
-                positions = wires[:g]
-            out.append(LocalGate(tuple(positions), haar_unitary(1 << g, rng)))
-        elif kind == "run" and n >= 2:
-            qubits = wires[1:draw(st.integers(2, n))]
-            patterns = draw(st.lists(st.integers(0, (1 << len(qubits)) - 1), min_size=1, max_size=4, unique=True))
-            out.extend(
-                ControlledGate(tuple((q, (b >> j) & 1) for j, q in enumerate(qubits)), wires[0], haar_unitary(2, rng))
-                for b in patterns
-            )
-        else:
-            out.append(draw(gates(n, "phase" if kind == "phase" else "ctrl")))
-    return out
+    """A short gate list for the kernel: single gates from kernel_gate
+    (local gates on every placement, controlled gates with and without
+    controls, phase-on-zero) and runs from kernel_run."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    runs = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    return [g for run in runs for g in (kernel_run(n, rng) if run else [kernel_gate(n, rng)])]
 
 
 @settings(PROPERTY, max_examples=60)

@@ -20,7 +20,15 @@ from qcapprox import (
     measure_prefix,
 )
 from qcapprox.tensor import SIM_QUBIT_CAP
-from helpers import embed_oracle, gate_oracle, haar_unitary, random_circuit, random_state
+from helpers import (
+    embed_oracle,
+    gate_oracle,
+    haar_unitary,
+    kernel_gate,
+    kernel_run,
+    random_circuit,
+    random_state,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -164,37 +172,6 @@ def test_apply_vs_matrix_random_pairs():
         assert np.linalg.norm(direct - via_matrix) <= 1e-9
 
 
-def kernel_test_gate(n, rng):
-    """A local gate of arity 1-3, a controlled gate with no controls or with
-    every other qubit as a control (random polarities), or phase-on-zero."""
-    kind = int(rng.integers(0, 4))
-    if kind == 0:
-        g = int(rng.integers(1, min(n, 3) + 1))
-        positions = tuple(int(q) for q in rng.choice(n, size=g, replace=False))
-        return LocalGate(positions, haar_unitary(1 << g, rng))
-    if kind == 3:
-        return PhaseOnZero(float(rng.uniform(-np.pi, np.pi)))
-    order = [int(q) for q in rng.permutation(n)]
-    controls = () if kind == 1 else tuple((q, int(rng.integers(0, 2))) for q in order[1:])
-    return ControlledGate(controls, order[0], haar_unitary(2, rng))
-
-
-def kernel_test_run(n, rng):
-    """Up to 8 controlled gates sharing one target and one control-qubit
-    sequence (0 to n-1 controls) with distinct polarity patterns; half the
-    time one pattern comes back later, which must split the run."""
-    order = [int(q) for q in rng.permutation(n)]
-    qubits = order[1:1 + int(rng.integers(0, n))]
-    size = min(1 << len(qubits), int(rng.integers(2, 9)))
-    patterns = [int(b) for b in rng.choice(1 << len(qubits), size=size, replace=False)]
-    if rng.random() < 0.5:
-        patterns.insert(int(rng.integers(1, size + 1)), patterns[0])
-    return [
-        ControlledGate(tuple((q, (b >> j) & 1) for j, q in enumerate(qubits)), order[0], haar_unitary(2, rng))
-        for b in patterns
-    ]
-
-
 def test_circuit_to_matrix_matches_oracle_product():
     # Four circuits of single random gates, then four of controlled-gate runs
     # broken by single gates, each against the brute-force product and
@@ -203,11 +180,11 @@ def test_circuit_to_matrix_matches_oracle_product():
     for n in range(1, 7):
         for trial in range(8):
             if trial < 4:
-                gates = tuple(kernel_test_gate(n, rng) for _ in range(6))
+                gates = tuple(kernel_gate(n, rng) for _ in range(6))
             else:
                 gates = tuple(
                     g for i in range(5)
-                    for g in (kernel_test_run(n, rng) if i % 2 == 0 else [kernel_test_gate(n, rng)])
+                    for g in (kernel_run(n, rng) if i % 2 == 0 else [kernel_gate(n, rng)])
                 )
             want = np.eye(1 << n, dtype=complex)
             one_by_one = np.eye(1 << n, dtype=complex)
@@ -267,6 +244,12 @@ def test_non_adjacent_gates_in_slabs_match_oracle():
     for cols in (16, 64):
         inputs = rng.choice(1 << n, size=cols, replace=False)
         assert np.allclose(basis_columns(c, inputs), want[:, inputs], atol=1e-12)
+    # Wide gates on a block of 2**16 amplitudes that leave two untouched
+    # qubits, or one, to cut slabs from.
+    n = 8
+    for pos in ((0, 1, 2, 3, 4, 6), (7, 0, 1, 2, 3, 4, 5)):
+        gate = LocalGate(pos, haar_unitary(1 << len(pos), rng))
+        assert np.allclose(circuit_to_matrix(Circuit(n, (gate,))), gate_oracle(gate, n), atol=1e-12)
 
 
 def test_basis_columns_match_matrix_columns():
