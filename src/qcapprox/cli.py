@@ -9,6 +9,7 @@ error, 2 I/O or format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -64,29 +65,16 @@ def _load_matrix(path: str) -> np.ndarray:
     """A unitary from a qcircuit file, or a whitespace matrix of re:im entries."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    first = next((ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")), "")
-    if first == fileio.CIRCUIT_MAGIC:
+    if fileio.header(text) == fileio.CIRCUIT_MAGIC:
         return circuit_to_matrix(fileio.parse_circuit(text))
-    rows = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        rows.append([fileio._parse_entry(tok) for tok in ln.split()])
-    if not rows or any(len(r) != len(rows) for r in rows):
-        raise ParseError(f"{path} is neither a qcircuit file nor a square re:im matrix")
-    m = np.array(rows, dtype=complex)
-    if not np.isfinite(m).all():
-        raise DomainError(f"{path} has a non-finite matrix entry")
-    return m
+    return fileio.parse_matrix(text, path)
 
 
 def _emit_circuit(circuit: Circuit, out: str | None) -> None:
-    text = fileio.format_circuit(circuit)
     if out:
         fileio.write_circuit(out, circuit)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(fileio.format_circuit(circuit))
 
 
 def _emit_state(state: StateVec, out: str | None) -> None:
@@ -144,9 +132,7 @@ def _cmd_net(args, out: _Out) -> None:
             [spec.g, spec.delta, spec.rho, spec.axis_points, exact, bound],
         )
     elif args.point is not None:
-        u = nets.net_point(spec, args.point)
-        for i in range(u.shape[0]):
-            print(" ".join(fileio._fmt_entry(z) for z in u[i]))
+        sys.stdout.write(fileio.format_matrix(nets.net_point(spec, args.point)))
     elif args.nearest is not None:
         u = _load_matrix(args.nearest)
         index = nets.nearest_net_index(spec, u)
@@ -262,7 +248,9 @@ def _cmd_advantage(args, out: _Out) -> None:
 
 # ----------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="u64 RNG seed")
     common.add_argument("--out", default=None, help="output file path")

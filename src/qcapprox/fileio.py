@@ -1,18 +1,35 @@
-"""Plain-text formats for states, circuits and oracle problems.
+"""Plain-text formats for states, circuits, raw matrices and oracle problems.
 
 All floats are written with 17 significant digits, which round-trips
 IEEE doubles exactly. Bit patterns appear as ordinary binary numerals;
 bit i of the numeral is qubit i.
+
+Numbers are converted by one `float` map per line (per file for states
+and raw matrices) and printed by one `%`-format per gate (per file for
+states and raw matrices). The 2x2 matrices of a circuit's `ctrl` lines
+are checked for unitarity as one stack; errors still come from the first
+bad line, in the order of the per-line checks.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .problems import DecisionProblem, GuessProblem
-from .tensor import Circuit, ControlledGate, LocalGate, PhaseOnZero, StateVec
+from .tensor import (
+    Circuit,
+    ControlledGate,
+    DomainError,
+    LocalGate,
+    PhaseOnZero,
+    StateVec,
+    _check_controls,
+    _check_unitary,
+    _trusted,
+)
 
 STATE_MAGIC = "qstate v1"
 CIRCUIT_MAGIC = "qcircuit v1"
@@ -20,17 +37,33 @@ CIRCUIT_MAGIC = "qcircuit v1"
 NO_CONTROLS = "-"
 PROBLEM_MAGIC = "qproblem v1"
 
+# One complex entry, written as re:im.
+_ENTRY = "%.17g:%.17g"
+
 
 class ParseError(ValueError):
     """Malformed file content."""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+class _Memo(dict):
+    """fn(key), computed on first lookup and kept for the rest of one call."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-def _fmt_entry(z: complex) -> str:
-    return f"{_fmt(z.real)}:{_fmt(z.imag)}"
+def _floats(a: np.ndarray) -> tuple:
+    """Real and imaginary part of every entry, row-major, as Python floats."""
+    return tuple(np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float).tolist())
+
+
+def _entries_template(count: int) -> str:
+    return " ".join([_ENTRY] * count)
 
 
 def _parse_entry(token: str) -> complex:
@@ -43,9 +76,33 @@ def _parse_entry(token: str) -> complex:
         raise ParseError(f"bad complex entry {token!r}") from exc
 
 
+def _entry_values(tokens: list[str]) -> list[float]:
+    """re, im of each of one or more re:im tokens in order, each the Python
+    float of its text. The first malformed token raises the ParseError
+    _parse_entry gives it."""
+    if set(map(str.count, tokens, repeat(":"))) == {1}:
+        try:
+            return list(map(float, ":".join(tokens).split(":")))
+        except ValueError:
+            pass
+    for token in tokens:
+        _parse_entry(token)
+    raise ParseError(f"bad complex entries {tokens!r}")
+
+
+def _content_lines(text: str) -> list[str]:
+    """Stripped lines, without blank lines and # comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
+def header(text: str) -> str:
+    """The first line that is neither blank nor a comment ('' if none)."""
+    lines = _content_lines(text)
+    return lines[0] if lines else ""
+
+
 def _split_lines(text: str, magic: str) -> tuple[int, list[str]]:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _content_lines(text)
     if not lines or lines[0] != magic:
         raise ParseError(f"missing header {magic!r}")
     if len(lines) < 2 or not lines[1].startswith("n="):
@@ -62,62 +119,70 @@ def _split_lines(text: str, magic: str) -> tuple[int, list[str]]:
 # ---------------------------------------------------------------- states
 
 def format_state(state: StateVec) -> str:
-    lines = [STATE_MAGIC, f"n={state.n}"]
-    lines.extend(f"{_fmt(a.real)} {_fmt(a.imag)}" for a in state.amps)
-    return "\n".join(lines) + "\n"
+    body = "\n".join(["%.17g %.17g"] * len(state.amps)) % _floats(state.amps)
+    return f"{STATE_MAGIC}\nn={state.n}\n{body}\n"
 
 
 def parse_state(text: str) -> StateVec:
     n, body = _split_lines(text, STATE_MAGIC)
-    if len(body) != 1 << n:
-        raise ParseError(f"expected {1 << n} amplitude lines, got {len(body)}")
-    amps = np.empty(1 << n, dtype=complex)
-    for i, line in enumerate(body):
+    # Bit lengths first: 1 << n would not fit in memory for an absurd n.
+    if len(body).bit_length() != n + 1 or len(body) != 1 << n:
+        want = 1 << n if n < 64 else f"2^{n}"
+        raise ParseError(f"expected {want} amplitude lines, got {len(body)}")
+    if set(map(len, map(str.split, body))) == {2}:
+        try:
+            values = list(map(float, " ".join(body).split()))
+        except ValueError:
+            pass
+        else:
+            return StateVec(n, np.array(values).view(complex))
+    for line in body:  # the first bad line decides the error
         toks = line.split()
         if len(toks) != 2:
             raise ParseError(f"bad amplitude line {line!r}")
         try:
-            amps[i] = complex(float(toks[0]), float(toks[1]))
+            list(map(float, toks))
         except ValueError as exc:
             raise ParseError(f"bad amplitude line {line!r}") from exc
-    return StateVec(n, amps)
+    raise ParseError("bad amplitude lines")
 
 
 # -------------------------------------------------------------- circuits
 
 def format_circuit(circuit: Circuit) -> str:
+    pair_text = _Memo("%d:%d".__mod__)
+    templates = _Memo(_entries_template)
     lines = [CIRCUIT_MAGIC, f"n={circuit.n}"]
     for gate in circuit.gates:
-        if isinstance(gate, LocalGate):
-            pos = ",".join(str(q) for q in gate.positions)
-            entries = " ".join(_fmt_entry(z) for z in gate.matrix.reshape(-1))
-            lines.append(f"local {pos} {entries}")
-        elif isinstance(gate, ControlledGate):
-            ctrls = ",".join(f"{q}:{p}" for q, p in gate.controls) or NO_CONTROLS
-            entries = " ".join(_fmt_entry(z) for z in gate.matrix.reshape(-1))
-            lines.append(f"ctrl {ctrls} {gate.target} {entries}")
+        if isinstance(gate, ControlledGate):
+            ctrls = ",".join([pair_text[c] for c in gate.controls]) or NO_CONTROLS
+            head = f"ctrl {ctrls} {gate.target} "
+        elif isinstance(gate, LocalGate):
+            head = f"local {','.join(map(str, gate.positions))} "
         elif isinstance(gate, PhaseOnZero):
-            lines.append(f"iw {_fmt(gate.w)}")
+            lines.append("iw %.17g" % gate.w)
+            continue
         else:
             raise ParseError(f"unknown gate type {type(gate).__name__}")
+        lines.append(head + templates[gate.matrix.size] % _floats(gate.matrix))
     return "\n".join(lines) + "\n"
 
 
-def _parse_gate(line: str):
+def _parse_control(token: str) -> tuple[int, int]:
+    qp = token.split(":")
+    if len(qp) != 2:
+        raise ParseError(f"bad control token {token!r}")
+    try:
+        return int(qp[0]), int(qp[1])
+    except ValueError as exc:
+        raise ParseError(f"bad control token {token!r}") from exc
+
+
+def _parse_line(line: str, pairs: _Memo, ctrl_values: list[float]):
+    """The gate of one line, or (controls, target) of a ctrl line, whose
+    entries are appended to ctrl_values once its other checks passed."""
     toks = line.split()
     kind = toks[0]
-    if kind == "local":
-        if len(toks) < 3:
-            raise ParseError(f"bad local gate line {line!r}")
-        try:
-            positions = tuple(int(t) for t in toks[1].split(","))
-        except ValueError as exc:
-            raise ParseError(f"bad positions in {line!r}") from exc
-        entries = [_parse_entry(t) for t in toks[2:]]
-        dim = 1 << len(positions)
-        if len(entries) != dim * dim:
-            raise ParseError(f"expected {dim * dim} matrix entries, got {len(entries)}")
-        return LocalGate(positions, np.array(entries).reshape(dim, dim))
     if kind == "ctrl":
         if len(toks) == 6:
             # Written by versions that left the control field of a
@@ -125,21 +190,27 @@ def _parse_gate(line: str):
             toks.insert(1, NO_CONTROLS)
         if len(toks) != 7:
             raise ParseError(f"bad ctrl gate line {line!r}")
-        controls = []
-        for part in [] if toks[1] == NO_CONTROLS else toks[1].split(","):
-            qp = part.split(":")
-            if len(qp) != 2:
-                raise ParseError(f"bad control token {part!r}")
-            try:
-                controls.append((int(qp[0]), int(qp[1])))
-            except ValueError as exc:
-                raise ParseError(f"bad control token {part!r}") from exc
+        controls = () if toks[1] == NO_CONTROLS else tuple(map(pairs.__getitem__, toks[1].split(",")))
         try:
             target = int(toks[2])
         except ValueError as exc:
             raise ParseError(f"bad target in {line!r}") from exc
-        entries = [_parse_entry(t) for t in toks[3:]]
-        return ControlledGate(tuple(controls), target, np.array(entries).reshape(2, 2))
+        values = _entry_values(toks[3:])
+        _check_controls(controls, target)
+        ctrl_values += values
+        return controls, target
+    if kind == "local":
+        if len(toks) < 3:
+            raise ParseError(f"bad local gate line {line!r}")
+        try:
+            positions = tuple(int(t) for t in toks[1].split(","))
+        except ValueError as exc:
+            raise ParseError(f"bad positions in {line!r}") from exc
+        values = _entry_values(toks[2:])
+        dim = 1 << len(positions)
+        if len(values) != 2 * dim * dim:
+            raise ParseError(f"expected {dim * dim} matrix entries, got {len(values) // 2}")
+        return LocalGate(positions, np.array(values).view(complex).reshape(dim, dim))
     if kind == "iw":
         if len(toks) != 2:
             raise ParseError(f"bad iw line {line!r}")
@@ -150,9 +221,62 @@ def _parse_gate(line: str):
     raise ParseError(f"unknown gate kind {kind!r}")
 
 
+def _ctrl_stack(values: list[float]) -> np.ndarray:
+    """The read-only (G, 2, 2) stack of G ctrl lines' entries, checked for
+    unitarity in one call."""
+    stack = _check_unitary(np.array(values).view(complex).reshape(-1, 2, 2), "gate matrix")
+    stack.flags.writeable = False
+    return stack
+
+
 def parse_circuit(text: str) -> Circuit:
+    """Every line is parsed and checked in order, except for the unitarity
+    of the ctrl matrices: it is checked for the whole stack at the end, or
+    for the lines above the first line that fails, so that the first bad
+    line decides the error as a line-by-line read would."""
     n, body = _split_lines(text, CIRCUIT_MAGIC)
-    return Circuit(n, tuple(_parse_gate(line) for line in body))
+    pairs = _Memo(_parse_control)  # each q:p token parsed once, its pair shared
+    values: list[float] = []
+    specs = []
+    for line in body:
+        try:
+            specs.append(_parse_line(line, pairs, values))
+        except (ParseError, DomainError):
+            _ctrl_stack(values)  # a non-unitary gate above this line comes first
+            raise
+    matrices = iter(_ctrl_stack(values))
+    gates = tuple(
+        _trusted(ControlledGate, controls=s[0], target=s[1], matrix=next(matrices))
+        if type(s) is tuple else s
+        for s in specs
+    )
+    wires = [q for q, _ in pairs.values()]
+    wires += [s[1] for s in specs if type(s) is tuple]
+    wires += [max(s.positions) for s in specs if isinstance(s, LocalGate)]
+    if max(wires, default=0) >= n:
+        return Circuit(n, gates)  # raises the range error of the first such gate
+    return _trusted(Circuit, n=n, gates=gates)
+
+
+# ------------------------------------------------------------- raw matrices
+
+def format_matrix(matrix: np.ndarray) -> str:
+    """One line of space-separated re:im entries per row."""
+    rows, cols = matrix.shape
+    return ("\n".join([_entries_template(cols)] * rows) + "\n") % _floats(matrix)
+
+
+def parse_matrix(text: str, name: str) -> np.ndarray:
+    """The square matrix of a file of re:im rows, read where a qcircuit file
+    may also stand; `name` labels the errors."""
+    rows = [ln.split() for ln in _content_lines(text)]
+    values = _entry_values([tok for row in rows for tok in row]) if rows else []
+    if not rows or any(len(r) != len(rows) for r in rows):
+        raise ParseError(f"{name} is neither a qcircuit file nor a square re:im matrix")
+    m = np.array(values).view(complex).reshape(len(rows), len(rows))
+    if not np.isfinite(m).all():
+        raise DomainError(f"{name} has a non-finite matrix entry")
+    return m
 
 
 # -------------------------------------------------------------- problems

@@ -8,7 +8,7 @@ bit, so the first l bits of b are b % 2**l.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Callable, Union
 
 import numpy as np
@@ -38,8 +38,8 @@ def _as_complex_array(values, name: str) -> np.ndarray:
 
 
 def _check_unitary(matrix: np.ndarray, name: str, tol: float = UNITARY_TOL) -> np.ndarray:
-    """Validate one square matrix, or a (G, d, d) stack of them against the
-    worst Frobenius defect in the stack."""
+    """Validate one square matrix, or a (G, d, d) stack of them; the error
+    gives the Frobenius defect of the first matrix in the stack that fails."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise DomainError(f"{name} must be square, got shape {m.shape}")
@@ -50,7 +50,9 @@ def _check_unitary(matrix: np.ndarray, name: str, tol: float = UNITARY_TOL) -> n
         err = np.linalg.norm(m.conj().T @ m - np.eye(d))
     else:
         gram = m.conj().swapaxes(1, 2) @ m - np.eye(d)
-        err = np.linalg.norm(gram, axis=(1, 2)).max(initial=0.0)
+        errs = np.linalg.norm(gram, axis=(1, 2))
+        bad = ~(errs <= tol)
+        err = errs[bad.argmax()] if bad.any() else 0.0
     if not err <= tol:
         raise DomainError(f"{name} is not unitary (Frobenius defect {err:.3e} > {tol:.0e})")
     return m
@@ -115,6 +117,16 @@ class Distribution:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
+
+
+_QUBIT, _POLARITY = itemgetter(0), itemgetter(1)
+
+
+def _check_controls(controls: tuple, target: int) -> None:
+    """Polarities 0 or 1; control and target wires distinct and non-negative."""
+    if not set(map(_POLARITY, controls)) <= {0, 1}:
+        raise DomainError(f"control polarities must be 0 or 1: {controls}")
+    _check_wires(list(map(_QUBIT, controls)), target)
 
 
 def _check_wires(qubits: list, target: int) -> None:
@@ -182,9 +194,7 @@ class ControlledGate:
 
     def __post_init__(self):
         ctrls = tuple([(int(q), int(p)) for q, p in self.controls])
-        if any(p not in (0, 1) for _, p in ctrls):
-            raise DomainError(f"control polarities must be 0 or 1: {ctrls}")
-        _check_wires([q for q, _ in ctrls], int(self.target))
+        _check_controls(ctrls, int(self.target))
         m = _check_unitary(self.matrix, "gate matrix")
         if m.shape != (2, 2):
             raise DomainError(f"controlled gate matrix must be 2x2, got {m.shape}")

@@ -1,9 +1,18 @@
-"""Shared test utilities: random unitaries, states and circuits, and the
-brute-force dense oracle for gates."""
+"""Shared test utilities: random unitaries, states and circuits, the
+brute-force dense oracle for gates, and entry-by-entry references for the
+circuit and state file formats."""
 
 import numpy as np
 
 from qcapprox import Circuit, ControlledGate, LocalGate, PhaseOnZero, StateVec
+from qcapprox.fileio import (
+    CIRCUIT_MAGIC,
+    NO_CONTROLS,
+    STATE_MAGIC,
+    ParseError,
+    _parse_entry,
+    _split_lines,
+)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -129,3 +138,84 @@ def gate_oracle(gate, n):
     m = np.eye(2 << len(gate.controls), dtype=complex)
     m[pattern:pattern + 2, pattern:pattern + 2] = gate.matrix
     return embed_oracle((gate.target,) + tuple(q for q, _ in gate.controls), m, n)
+
+
+def fmt_reference(x) -> str:
+    return f"{x:.17g}"
+
+
+def format_state_reference(state: StateVec) -> str:
+    """One amplitude at a time, each part through fmt_reference."""
+    lines = [STATE_MAGIC, f"n={state.n}"]
+    lines.extend(f"{fmt_reference(a.real)} {fmt_reference(a.imag)}" for a in state.amps)
+    return "\n".join(lines) + "\n"
+
+
+def format_circuit_reference(circuit: Circuit) -> str:
+    """One gate and one matrix entry at a time, each part through fmt_reference."""
+    def entries(m):
+        return " ".join(f"{fmt_reference(z.real)}:{fmt_reference(z.imag)}" for z in m.reshape(-1))
+
+    lines = [CIRCUIT_MAGIC, f"n={circuit.n}"]
+    for gate in circuit.gates:
+        if isinstance(gate, LocalGate):
+            pos = ",".join(str(q) for q in gate.positions)
+            lines.append(f"local {pos} {entries(gate.matrix)}")
+        elif isinstance(gate, ControlledGate):
+            ctrls = ",".join(f"{q}:{p}" for q, p in gate.controls) or NO_CONTROLS
+            lines.append(f"ctrl {ctrls} {gate.target} {entries(gate.matrix)}")
+        else:
+            lines.append(f"iw {fmt_reference(gate.w)}")
+    return "\n".join(lines) + "\n"
+
+
+def _parse_gate_reference(line: str):
+    toks = line.split()
+    kind = toks[0]
+    if kind == "local":
+        if len(toks) < 3:
+            raise ParseError(f"bad local gate line {line!r}")
+        try:
+            positions = tuple(int(t) for t in toks[1].split(","))
+        except ValueError as exc:
+            raise ParseError(f"bad positions in {line!r}") from exc
+        entries = [_parse_entry(t) for t in toks[2:]]
+        dim = 1 << len(positions)
+        if len(entries) != dim * dim:
+            raise ParseError(f"expected {dim * dim} matrix entries, got {len(entries)}")
+        return LocalGate(positions, np.array(entries).reshape(dim, dim))
+    if kind == "ctrl":
+        if len(toks) == 6:
+            toks.insert(1, NO_CONTROLS)
+        if len(toks) != 7:
+            raise ParseError(f"bad ctrl gate line {line!r}")
+        controls = []
+        for part in [] if toks[1] == NO_CONTROLS else toks[1].split(","):
+            qp = part.split(":")
+            if len(qp) != 2:
+                raise ParseError(f"bad control token {part!r}")
+            try:
+                controls.append((int(qp[0]), int(qp[1])))
+            except ValueError as exc:
+                raise ParseError(f"bad control token {part!r}") from exc
+        try:
+            target = int(toks[2])
+        except ValueError as exc:
+            raise ParseError(f"bad target in {line!r}") from exc
+        entries = [_parse_entry(t) for t in toks[3:]]
+        return ControlledGate(tuple(controls), target, np.array(entries).reshape(2, 2))
+    if kind == "iw":
+        if len(toks) != 2:
+            raise ParseError(f"bad iw line {line!r}")
+        try:
+            return PhaseOnZero(float(toks[1]))
+        except ValueError as exc:
+            raise ParseError(f"bad angle in {line!r}") from exc
+    raise ParseError(f"unknown gate kind {kind!r}")
+
+
+def parse_circuit_reference(text: str) -> Circuit:
+    """Line by line, entry by entry, each gate checked by its constructor as
+    soon as it is read: the order of checks parse_circuit must keep."""
+    n, body = _split_lines(text, CIRCUIT_MAGIC)
+    return Circuit(n, tuple(_parse_gate_reference(line) for line in body))

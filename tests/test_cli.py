@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from qcapprox import __version__
+from qcapprox import __version__, cli, fileio
 from qcapprox.cli import _sweep_values, main
 from qcapprox.fileio import (
-    _fmt_entry,
+    format_matrix,
     format_problem,
     format_state,
     read_state,
     write_circuit,
     write_state,
 )
+from qcapprox.measure import sample_haar_state
 from qcapprox.problems import DecisionProblem
+from qcapprox.synthesis import prepare_state
 from qcapprox.tensor import Circuit, DomainError, StateVec
 from helpers import haar_unitary, random_state
 
@@ -94,9 +96,7 @@ def test_dist_circuit_vs_matrix_file(tmp_path, capsys):
     write_circuit(circuit_file, synthesize_transitive(seq).circuit)
 
     matrix_file = tmp_path / "u.mat"
-    matrix_file.write_text(
-        "\n".join(" ".join(_fmt_entry(z) for z in row) for row in u) + "\n"
-    )
+    matrix_file.write_text(format_matrix(u))
     code, out, _ = run(
         capsys,
         "dist",
@@ -185,7 +185,7 @@ def test_net_point_and_nearest(tmp_path, capsys):
 
     u = haar_unitary(2, np.random.default_rng(4))
     f = tmp_path / "u.mat"
-    f.write_text("\n".join(" ".join(_fmt_entry(z) for z in row) for row in u) + "\n")
+    f.write_text(format_matrix(u))
     code, out, _ = run(
         capsys, "net", "--g", "1", "--delta", "1.0", "--nearest", str(f)
     )
@@ -236,9 +236,24 @@ def test_advantage_flow(tmp_path, capsys):
     assert table["q"] == "1"
 
 
+IDENTITY = "1:0 0:0 0:0 1:0"
+DEFECT = "2:0 0:0 0:0 1:0"
+
+
+def _circuit_file(tmp_path, name, *gate_lines):
+    path = tmp_path / f"{name}.qcircuit"
+    path.write_text("qcircuit v1\nn=2\n" + "".join(f"{ln}\n" for ln in gate_lines))
+    return ["apply", "--circuit", str(path), "--state", "zero", "--n", "2"]
+
+
 def test_exit_code_domain_error(tmp_path, capsys):
     nan_matrix = tmp_path / "nan.mat"
     nan_matrix.write_text("nan:0 0:0\n0:0 1:0\n")
+    cascade = fileio.format_circuit(
+        prepare_state(sample_haar_state(11, np.random.default_rng(5))).circuit).splitlines()
+    cascade[2001] = " ".join(cascade[2001].split()[:3] + [DEFECT])  # gate line 2000
+    cascade_file = tmp_path / "cascade.qcircuit"
+    cascade_file.write_text("\n".join(cascade) + "\n")
     thm41 = ["bounds", "--table", "thm41", "--n", "6", "--k", "4", "--g", "2", "--b", "100"]
     thm51 = ["bounds", "--table", "thm51", "--n", "8", "--g", "2", "--b", "4", "--D", "256"]
     cases = [
@@ -255,6 +270,14 @@ def test_exit_code_domain_error(tmp_path, capsys):
         thm51 + ["--q", "4", "--sweep", "b=2:1000000000000000000:1"],
         thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "eps=0.1:inf:0.1"],
         thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "k=1:x:1"],
+        # circuit files: the first bad line decides
+        _circuit_file(tmp_path, "nonunitary_first", f"ctrl 0:1 1 {DEFECT}", "warp 0"),
+        _circuit_file(tmp_path, "nan", f"ctrl 0:1 1 nan:0 0:0 0:0 1:0"),
+        _circuit_file(tmp_path, "polarity", f"ctrl 0:2 1 {IDENTITY}"),
+        _circuit_file(tmp_path, "duplicate", f"ctrl 0:1,0:0 1 {IDENTITY}"),
+        _circuit_file(tmp_path, "negative", f"ctrl -1:1 1 {IDENTITY}"),
+        _circuit_file(tmp_path, "beyond_n", f"ctrl 0:1 2 {IDENTITY}"),
+        ["apply", "--circuit", str(cascade_file), "--state", "zero", "--n", "11"],
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -278,6 +301,14 @@ def test_exit_code_parse_error(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in err
+    for argv in (
+        _circuit_file(tmp_path, "malformed_first", "warp 0", f"ctrl 0:1 1 {DEFECT}"),
+        _circuit_file(tmp_path, "entry_before_polarity", "ctrl 0:2 1 1:0 0:0 0:0 x:0"),
+        _circuit_file(tmp_path, "range_after_every_line", f"ctrl 0:1 2 {IDENTITY}", "warp 0"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
 def test_exit_code_undecodable_file(tmp_path, capsys):
@@ -313,3 +344,59 @@ def test_state_output_to_stdout(capsys, tmp_path):
     assert code == 0
     body = "\n".join(ln for ln in out.splitlines() if not ln.startswith("#")) + "\n"
     assert body == format_state(s)
+
+
+@pytest.mark.parametrize("command", ["synth-state", "synth-unitary"])
+def test_synth_out_formats_the_circuit_once(tmp_path, capsys, monkeypatch, command):
+    rng = np.random.default_rng(6)
+    u = haar_unitary(8, rng)
+    files = []
+    for i in range(2):
+        f = tmp_path / f"t{i}.qstate"
+        write_state(f, StateVec(3, u[:, i]))
+        files.append(str(f))
+    calls = []
+
+    def counted(circuit):
+        calls.append(circuit)
+        return format_circuit(circuit)
+
+    format_circuit = fileio.format_circuit
+    monkeypatch.setattr(fileio, "format_circuit", counted)
+    inputs = ["--state", files[0]] if command == "synth-state" else ["--targets", *files]
+    out_file = tmp_path / "c.qcircuit"
+    code, _, _ = run(capsys, command, *inputs, "--out", str(out_file))
+    assert code == 0 and len(calls) == 1
+    assert out_file.read_text() == format_circuit(calls[0])
+    code, out, _ = run(capsys, command, *inputs)  # to stdout
+    assert code == 0 and len(calls) == 2
+    assert format_circuit(calls[1]) in out
+
+
+def test_parser_reused_across_calls(capsys, monkeypatch):
+    thm45 = ["bounds", "--table", "thm45", "--n", "6", "--k", "4", "--l", "2", "--g", "2",
+             "--b", "4", "--eps", "0.1", "--alpha", "0.5"]
+    calls = [
+        thm45 + ["--sharp", "--format", "text"],
+        ["bounds", "--table", "thm34", "--n", "3", "--frobnicate"],  # argparse error
+        thm45,  # --sharp and --format text must not carry over
+        ["mc", "--experiment", "simplex-ball", "--N", "4", "--eps", "0.25", "--samples", "100"],
+    ]
+
+    def results():
+        got = []
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    assert cli._build_parser() is cli._build_parser()
+    cached = results()
+    assert [code for code, _, _ in cached] == [0, 2, 0, 0]
+    assert "sharp = True" in cached[0][1] and ",False," in cached[2][1]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)  # a fresh parser per call
+    assert results() == cached

@@ -14,9 +14,15 @@ from qcapprox.fileio import (
     write_circuit,
     write_state,
 )
+from qcapprox.measure import sample_haar_state
 from qcapprox.problems import DecisionProblem, GuessProblem
+from qcapprox.synthesis import prepare_state
 from qcapprox.tensor import Circuit, ControlledGate, DomainError, LocalGate, PhaseOnZero, StateVec
-from helpers import assert_same_circuit, random_circuit, random_state
+from helpers import assert_same_circuit, parse_circuit_reference, random_circuit, random_state
+
+IDENTITY = "1:0 0:0 0:0 1:0"
+DEFECT_3 = "2:0 0:0 0:0 1:0"  # M^H M - I = diag(3, 0)
+DEFECT_8 = "3:0 0:0 0:0 1:0"
 
 
 def test_state_round_trip_bit_exact():
@@ -48,6 +54,8 @@ def test_state_parse_errors():
         parse_state("qstate v1\nn=x\n1 0\n0 0\n")
     with pytest.raises(ParseError):
         parse_state("qstate v1\nn=0\n1 0\n")
+    with pytest.raises(ParseError, match="2\\^1000000000000 amplitude lines"):
+        parse_state("qstate v1\nn=1000000000000\n1 0\n0 0\n")  # refused before 1 << n
     with pytest.raises(DomainError):
         parse_state("qstate v1\nn=1\nnan 0\n1 0\n")
 
@@ -108,6 +116,58 @@ def test_circuit_parse_errors():
         parse_circuit(head + "iw fast\n")
     with pytest.raises(ParseError):
         parse_circuit(head + "local 0 1:0 0:0 0:0 badentry\n")
+    refused = {
+        DomainError: [
+            f"ctrl 0:1 1 {DEFECT_3}\nwarp 0\n",  # non-unitary above a malformed line
+            f"ctrl 0:1 1 {DEFECT_3}\nctrl 0:1 1 1:0 0:0 0:0 x:0\n",
+            f"local 0 {DEFECT_3}\nctrl 0:2 1 {IDENTITY}\n",
+            f"ctrl 0:1 1 {IDENTITY.replace('1:0', 'nan:0', 1)}\n",
+            f"ctrl 0:2 1 {IDENTITY}\n",  # polarity 2
+            f"ctrl 1:1 1 {IDENTITY}\n",  # control on the target wire
+            f"ctrl 0:1,0:0 1 {IDENTITY}\n",  # the same control twice
+            f"ctrl -1:1 1 {IDENTITY}\n",
+            f"ctrl 0:1 -1 {IDENTITY}\n",
+            f"ctrl 0:1 2 {IDENTITY}\n",  # qubit >= n
+            f"ctrl 2:1 1 {IDENTITY}\n",
+            f"local 5 {IDENTITY}\n",
+        ],
+        ParseError: [
+            f"warp 0\nctrl 0:1 1 {DEFECT_3}\n",  # malformed above a non-unitary line
+            f"ctrl 0:2 1 1:0 0:0 0:0 x:0\n",  # an entry is read before the polarity
+            f"ctrl 0:1 2 {IDENTITY}\nwarp 0\n",  # range checked after every line
+            f"ctrl 0:1 1 {IDENTITY} 1:0\n",
+            f"ctrl 0:1 1 1:0:0 0:0 0:0 1:0\n",
+        ],
+    }
+    for kind, bodies in refused.items():
+        for body in bodies:
+            with pytest.raises(kind) as got:
+                parse_circuit(head + body)
+            with pytest.raises(kind) as want:
+                parse_circuit_reference(head + body)
+            assert str(got.value) == str(want.value), body
+
+
+def test_first_bad_gate_of_a_cascade_decides_the_error():
+    circuit = prepare_state(sample_haar_state(11, np.random.default_rng(11))).circuit
+    lines = format_circuit(circuit).splitlines()
+    assert len(lines) == 2 + 2047 and lines[2001].startswith("ctrl ")
+
+    def with_entries(entries: dict[int, str]) -> str:
+        """The file with the matrix entries of some lines replaced."""
+        edited = list(lines)
+        for index, tail in entries.items():
+            edited[index] = " ".join(edited[index].split()[:3] + [tail])
+        return "\n".join(edited) + "\n"
+
+    # gate line 2000 (file line 2001) is the first bad gate; a worse gate and
+    # a malformed line below it do not change the error
+    with pytest.raises(DomainError, match=r"Frobenius defect 3\.000e\+00"):
+        parse_circuit(with_entries({2001: DEFECT_3, 2030: DEFECT_8, 2040: "x:0 0:0 0:0 1:0"}))
+    with pytest.raises(ParseError):
+        parse_circuit(with_entries({2001: "x:0 0:0 0:0 1:0", 2030: DEFECT_8}))
+    with pytest.raises(DomainError, match=r"Frobenius defect 8\.000e\+00"):
+        parse_circuit(with_entries({2030: DEFECT_8}))
 
 
 def test_problem_round_trip():

@@ -1,5 +1,6 @@
-"""Property tests: file round trips, net index round trips, circuit inverses,
-the gate kernel against the dense oracle, and the metric inequalities.
+"""Property tests: file round trips, the file formats against their
+entry-by-entry references, net index round trips, circuit inverses, the gate
+kernel against the dense oracle, and the metric inequalities.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same inputs.
@@ -11,27 +12,43 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from qcapprox.fileio import (
+    ParseError,
     format_circuit,
+    format_matrix,
     format_problem,
     format_state,
     parse_circuit,
     parse_problem,
     parse_state,
 )
+from qcapprox.measure import sample_haar_state
 from qcapprox.metrics import frobenius_norm, tv_operators, tv_states, two_norm, weak_two_norm
 from qcapprox.nets import NetSpec, _axis_values, decode_index, encode_matrix
 from qcapprox.problems import DecisionProblem, GuessProblem
+from qcapprox.synthesis import prepare_state
 from qcapprox.tensor import (
     Circuit,
     ControlledGate,
+    DomainError,
     LocalGate,
     PhaseOnZero,
     StateVec,
     _run_gates,
+    _trusted,
     circuit_dagger,
     circuit_to_matrix,
 )
-from helpers import assert_same_circuit, gate_oracle, haar_unitary, kernel_gate, kernel_run
+from helpers import (
+    assert_same_circuit,
+    fmt_reference,
+    format_circuit_reference,
+    format_state_reference,
+    gate_oracle,
+    haar_unitary,
+    kernel_gate,
+    kernel_run,
+    parse_circuit_reference,
+)
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=40)
 GATE_KINDS = ("local", "ctrl", "phase")
@@ -103,6 +120,100 @@ def test_problem_format_parse_round_trip(problem):
 @given(circuits(max_n=4))
 def test_circuit_format_parse_round_trip(circuit):
     assert_same_circuit(parse_circuit(format_circuit(circuit)), circuit)
+
+
+# Any double, with the edge cases drawn often.
+doubles = st.one_of(
+    st.sampled_from((-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 2.2250738585072014e-308)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def any_complex(draw, *shape):
+    size = 2 * math.prod(shape)
+    return np.array(draw(st.lists(doubles, min_size=size, max_size=size))).view(complex).reshape(shape)
+
+
+@st.composite
+def raw_circuits(draw):
+    """Gates of every kind holding arbitrary doubles, built without the
+    unitarity check: the formatter must print any float."""
+    n = draw(st.integers(1, 4))
+    gates = []
+    for gate in draw(gate_lists(n)):
+        if isinstance(gate, LocalGate):
+            gate = _trusted(LocalGate, positions=gate.positions,
+                            matrix=draw(any_complex(*gate.matrix.shape)))
+        elif isinstance(gate, ControlledGate):
+            gate = _trusted(ControlledGate, controls=gate.controls, target=gate.target,
+                            matrix=draw(any_complex(2, 2)))
+        else:
+            gate = PhaseOnZero(draw(doubles))
+        gates.append(gate)
+    return Circuit(n, tuple(gates))
+
+
+@PROPERTY
+@given(raw_circuits(), st.data())
+def test_formats_match_entry_by_entry_reference(circuit, data):
+    assert format_circuit(circuit) == format_circuit_reference(circuit)
+    state = _trusted(StateVec, n=circuit.n, amps=data.draw(any_complex(1 << circuit.n)))
+    assert format_state(state) == format_state_reference(state)
+    m = data.draw(any_complex(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))))
+    assert format_matrix(m) == "".join(
+        " ".join(f"{fmt_reference(z.real)}:{fmt_reference(z.imag)}" for z in row) + "\n"
+        for row in m)
+
+
+def test_cascade_round_trip_bit_exact():
+    circuit = prepare_state(sample_haar_state(11, np.random.default_rng(3))).circuit
+    back = parse_circuit(format_circuit(circuit))
+    assert_same_circuit(back, circuit)
+    assert len(back.gates) == 2047
+    assert not any(g.matrix.flags.writeable for g in back.gates)
+
+
+# Edits that damage one line of a circuit file, each a defect parse_circuit
+# must refuse as the line-by-line reference does.
+DAMAGE = (
+    lambda toks, n: toks[:-1] + ["2:0"],  # not unitary
+    lambda toks, n: toks[:-1] + ["nan:0"],
+    lambda toks, n: toks[:-1] + ["1:0:0"],
+    lambda toks, n: toks[:-1] + ["x:0"],
+    lambda toks, n: toks[:-1],  # one entry short
+    lambda toks, n: ["warp"] + toks[1:],
+    lambda toks, n: toks[:1] + [f"0:2,{toks[1]}"] + toks[2:],  # polarity 2, maybe a duplicate
+    lambda toks, n: toks[:1] + ["-1:1"] + toks[2:],
+    lambda toks, n: toks[:1] + [f"{toks[2]}:1"] + toks[2:],  # a control on the target
+    lambda toks, n: toks[:1] + [str(n)] + toks[2:],  # a wire >= n, or a bad control field
+    lambda toks, n: toks[:2] + [str(n)] + toks[3:],
+    lambda toks, n: toks[:2] + ["x"] + toks[3:],
+    lambda toks, n: toks[:1] + toks[2:] if toks[1] == "-" else toks,  # legacy empty field
+)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(circuits(max_n=4), st.integers(0, 2**32 - 1))
+def test_circuit_parse_matches_line_by_line_reference(circuit, seed):
+    rng = np.random.default_rng(seed)  # damages spread evenly over kinds and lines
+    lines = format_circuit(circuit).splitlines()
+    for _ in range(int(rng.integers(1, 3))):
+        i = int(rng.integers(2, len(lines)))
+        damage = DAMAGE[int(rng.integers(len(DAMAGE)))]
+        lines[i] = " ".join(damage(lines[i].split(), circuit.n))
+    text = "\n".join(lines) + "\n"
+    try:
+        want = parse_circuit_reference(text)
+    except (ParseError, DomainError) as exc:
+        try:
+            parse_circuit(text)
+        except (ParseError, DomainError) as got:
+            assert (type(got), str(got)) == (type(exc), str(exc))
+        else:
+            raise AssertionError(f"accepted, the reference raised {exc!r}")
+    else:
+        assert format_circuit(parse_circuit(text)) == format_circuit(want)
 
 
 @st.composite
