@@ -28,6 +28,7 @@ from .tensor import (
     StateVec,
     _check_controls,
     _check_unitary,
+    _controlled_gates,
     _trusted,
 )
 
@@ -215,9 +216,10 @@ def _parse_line(line: str, pairs: _Memo, ctrl_values: list[float]):
         if len(toks) != 2:
             raise ParseError(f"bad iw line {line!r}")
         try:
-            return PhaseOnZero(float(toks[1]))
+            w = float(toks[1])
         except ValueError as exc:
             raise ParseError(f"bad angle in {line!r}") from exc
+        return PhaseOnZero(w)  # refuses nan and inf with a DomainError
     raise ParseError(f"unknown gate kind {kind!r}")
 
 
@@ -244,14 +246,11 @@ def parse_circuit(text: str) -> Circuit:
         except (ParseError, DomainError):
             _ctrl_stack(values)  # a non-unitary gate above this line comes first
             raise
-    matrices = iter(_ctrl_stack(values))
-    gates = tuple(
-        _trusted(ControlledGate, controls=s[0], target=s[1], matrix=next(matrices))
-        if type(s) is tuple else s
-        for s in specs
-    )
-    wires = [q for q, _ in pairs.values()]
-    wires += [s[1] for s in specs if type(s) is tuple]
+    ctrl = [s for s in specs if type(s) is tuple]  # (controls, target) per ctrl line
+    targets = [t for _, t in ctrl]
+    made = iter(_controlled_gates([c for c, _ in ctrl], targets, _ctrl_stack(values)))
+    gates = tuple(next(made) if type(s) is tuple else s for s in specs)
+    wires = [q for q, _ in pairs.values()] + targets
     wires += [max(s.positions) for s in specs if isinstance(s, LocalGate)]
     if max(wires, default=0) >= n:
         return Circuit(n, gates)  # raises the range error of the first such gate

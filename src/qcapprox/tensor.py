@@ -8,6 +8,7 @@ bit, so the first l bits of b are b % 2**l.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from operator import getitem, itemgetter
 from typing import Callable, Union
 
@@ -228,10 +229,23 @@ class ControlledGate:
         m.flags.writeable = False
         # Gates share their (qubit, polarity) pairs: fewer objects to collect.
         pairs = [((q, 0), (q, 1)) for q in qubits]
-        return [
-            _trusted(cls, controls=tuple(map(getitem, pairs, row)), target=target, matrix=mg)
-            for row, mg in zip(pats.tolist(), m)
-        ]
+        controls = [tuple(map(getitem, pairs, row)) for row in pats.tolist()]
+        return _controlled_gates(controls, repeat(target), m)
+
+
+def _controlled_gates(controls, targets, matrices) -> list:
+    """ControlledGates from parallel iterables of control tuples, targets and
+    read-only 2x2 matrices that are already validated: no __post_init__, and
+    none of _trusted's keyword handling, which costs as much again per gate."""
+    new, put = object.__new__, object.__setattr__
+    gates = []
+    for c, t, m in zip(controls, targets, matrices):
+        gate = new(ControlledGate)
+        put(gate, "controls", c)
+        put(gate, "target", t)
+        put(gate, "matrix", m)
+        gates.append(gate)
+    return gates
 
 
 @dataclass(frozen=True)
@@ -241,7 +255,10 @@ class PhaseOnZero:
     w: float
 
     def __post_init__(self):
-        object.__setattr__(self, "w", float(self.w))
+        w = float(self.w)
+        if not np.isfinite(w):
+            raise DomainError(f"phase angle must be finite, got {w!r}")
+        object.__setattr__(self, "w", w)
 
 
 Gate = Union[LocalGate, ControlledGate, PhaseOnZero]
@@ -314,10 +331,11 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
     The block is viewed as a C-contiguous [2]*n + [B] tensor whose axis
     n-1-q is qubit q, and the state stays C-contiguous for the whole run:
     - A run is a stretch of consecutive ControlledGates with at least one
-      control, the same target, the same control qubits in the same order
-      and pairwise distinct polarity patterns. Its gates act on disjoint
-      amplitude pairs, so they commute and the run is one in-place step
-      (see _apply_run). Phase-on-zero gates scale one entry in place.
+      control, the same target and the same control qubits in the same
+      order. Gates of a run with pairwise distinct polarity patterns act
+      on disjoint amplitude pairs, so they commute and are one in-place
+      step; _apply_run cuts a run before each repeated pattern.
+      Phase-on-zero gates scale one entry in place.
     - A local gate, or a controlled gate without controls, writes its
       result into a spare tensor of the block's shape, allocated on first
       need, and the two tensors swap (see _apply_local). On adjacent
@@ -333,18 +351,19 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
     """
     t = block.reshape([2] * n + [block.shape[1]])
     spare = None
-    key, run = None, {}  # (target, control qubits) and pattern -> matrix
+    target, qubits, run = None, None, []  # the run's target, control qubits and gates
     for gate in gates:
-        if isinstance(gate, ControlledGate) and gate.controls:
-            qubits, pattern = tuple(zip(*gate.controls))
-            if (gate.target, qubits) == key and pattern not in run:
-                run[pattern] = gate.matrix
+        controls = gate.controls if isinstance(gate, ControlledGate) else None
+        if controls:
+            wires = tuple(map(_QUBIT, controls))
+            if gate.target == target and wires == qubits:
+                run.append(gate)
                 continue
-            _apply_run(t, n, key, run)
-            key, run = (gate.target, qubits), {pattern: gate.matrix}
+            _apply_run(t, n, run)
+            target, qubits, run = gate.target, wires, [gate]
             continue
-        _apply_run(t, n, key, run)
-        key, run = None, {}
+        _apply_run(t, n, run)
+        target, qubits, run = None, None, []
         if isinstance(gate, PhaseOnZero):
             t[(0,) * n] *= np.exp(1j * gate.w)
             continue
@@ -353,7 +372,7 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
         positions = gate.positions if isinstance(gate, LocalGate) else (gate.target,)
         _apply_local(t, spare, n, positions, gate.matrix)
         t, spare = spare, t
-    _apply_run(t, n, key, run)
+    _apply_run(t, n, run)
     return t.reshape(block.shape)
 
 
@@ -407,23 +426,54 @@ def _apply_local(src: np.ndarray, dst: np.ndarray, n: int, positions, m: np.ndar
         dst[tuple(index)].transpose(perm)[...] = (m @ slab.reshape(d, -1)).reshape(slab.shape)
 
 
-def _apply_run(t: np.ndarray, n: int, key, run: dict) -> None:
-    """Apply a run of controlled gates to the state tensor t in place.
+def _apply_run(t: np.ndarray, n: int, run: list) -> None:
+    """Apply consecutive ControlledGates with one target and one sequence of
+    control qubits to the state tensor t in place.
+
+    Gates with pairwise distinct polarity patterns act on disjoint amplitude
+    pairs, so they commute: the run is cut before each gate whose pattern
+    repeats one since the last cut, and each piece is one step. The
+    patterns are read from the controls tuples in one fromiter pass and
+    compared as integers after one stable sort.
+    """
+    if len(run) < 2:
+        if run:
+            _apply_step(t, n, run, None)
+        return
+    g, c = len(run), len(run[0].controls)
+    flat = chain.from_iterable([gate.controls for gate in run])
+    polarities = np.fromiter(map(_POLARITY, flat), np.intp, count=g * c).reshape(g, c)
+    patterns = polarities @ (1 << np.arange(c))
+    order = np.argsort(patterns, kind="stable")
+    same = patterns[order[1:]] == patterns[order[:-1]]
+    previous = np.full(g, -1)  # the last earlier gate with the same pattern
+    previous[order[1:][same]] = order[:-1][same]
+    cuts = [0]
+    for i in np.flatnonzero(previous >= 0).tolist():
+        if previous[i] >= cuts[-1]:
+            cuts.append(i)
+    cuts.append(g)
+    for a, b in zip(cuts, cuts[1:]):
+        _apply_step(t, n, run[a:b], polarities[a:b])
+
+
+def _apply_step(t: np.ndarray, n: int, gates: list, polarities) -> None:
+    """Apply controlled gates on disjoint amplitude pairs (one target, one
+    sequence of control qubits, distinct patterns) to t in place.
 
     A single gate updates two basic-indexing views of t (length-1 slices on
-    the control axes, so no index arrays and no copy). A longer run moves
-    the control axes and the target axis to the front, gathers its G
-    amplitude pairs with one advanced index, applies the (G, 2, 2) stack in
-    one einsum and scatters the result back.
+    the control axes, so no index arrays and no copy). More gates move the
+    control axes and the target axis to the front, gather their G amplitude
+    pairs with one advanced index (the rows of `polarities`), apply the
+    (G, 2, 2) stack, one concatenate of their matrices, in one einsum and
+    scatter the result back.
     """
-    if not run:
-        return
-    target, qubits = key
-    axis = n - 1 - target
-    if len(run) == 1:
-        ((pattern, m),) = run.items()
+    first = gates[0]
+    axis = n - 1 - first.target
+    if len(gates) == 1:
+        m = first.matrix
         index = [slice(None)] * (n + 1)
-        for q, pol in zip(qubits, pattern):
+        for q, pol in first.controls:
             index[n - 1 - q] = slice(pol, pol + 1)
         index[axis] = slice(0, 1)
         v0 = t[tuple(index)]
@@ -435,10 +485,11 @@ def _apply_run(t: np.ndarray, n: int, key, run: dict) -> None:
         v1 += m[1, 0] * v0
         v0[...] = new0
         return
-    front = [n - 1 - q for q in qubits] + [axis]
+    front = [n - 1 - q for q, _ in first.controls] + [axis]
     view = np.moveaxis(t, front, range(len(front)))
-    pairs = tuple(np.array(list(run)).T)
-    view[pairs] = np.einsum("gij,gj...->gi...", np.array(list(run.values())), view[pairs])
+    pairs = tuple(polarities.T)
+    stack = np.concatenate([gate.matrix for gate in gates]).reshape(-1, 2, 2)
+    view[pairs] = np.einsum("gij,gj...->gi...", stack, view[pairs])
 
 
 def basis_columns(circuit: Circuit, inputs) -> np.ndarray:
@@ -479,21 +530,31 @@ def circuit_to_matrix(circuit: Circuit, dense_cap: int = DENSE_QUBIT_CAP) -> np.
 
 
 def _dagger_gate(gate: Gate) -> Gate:
-    """Adjoint of a gate. The adjoint of a validated unitary is unitary, so
-    it is built without checking it again."""
+    """Adjoint of a local or phase-on-zero gate. The adjoint of a validated
+    unitary is unitary, so it is built without checking it again."""
     if isinstance(gate, PhaseOnZero):
         return PhaseOnZero(-gate.w)
     m = gate.matrix.conj().T.copy()
     m.flags.writeable = False
-    if isinstance(gate, LocalGate):
-        return _trusted(LocalGate, positions=gate.positions, matrix=m)
-    return _trusted(ControlledGate, controls=gate.controls, target=gate.target, matrix=m)
+    return _trusted(LocalGate, positions=gate.positions, matrix=m)
 
 
 def circuit_dagger(circuit: Circuit) -> Circuit:
     """Inverse circuit: reversed gate order, each gate conjugate-transposed.
-    It touches the qubits of a validated circuit, so it is not checked again."""
-    gates = tuple(_dagger_gate(g) for g in reversed(circuit.gates))
+    It touches the qubits of a validated circuit, so it is not checked again.
+
+    The controlled gates are inverted together: their matrices are
+    conjugate-transposed as one read-only (G, 2, 2) stack, and each inverse
+    gate keeps its source's controls tuple and takes a view of that stack.
+    """
+    gates = circuit.gates[::-1]
+    controlled = [g for g in gates if isinstance(g, ControlledGate)]
+    stack = np.array([g.matrix for g in controlled]).reshape(-1, 2, 2)
+    adjoints = np.conjugate(stack.swapaxes(1, 2), out=np.empty_like(stack))
+    adjoints.flags.writeable = False
+    inverses = iter(_controlled_gates([g.controls for g in controlled],
+                                      [g.target for g in controlled], adjoints))
+    gates = tuple(next(inverses) if isinstance(g, ControlledGate) else _dagger_gate(g) for g in gates)
     return _trusted(Circuit, n=circuit.n, gates=gates)
 
 

@@ -13,6 +13,7 @@ from qcapprox.fileio import (
     _parse_entry,
     _split_lines,
 )
+from qcapprox.tensor import _trusted
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -105,6 +106,24 @@ def assert_same_circuit(got: Circuit, want: Circuit) -> None:
             assert np.array_equal(g1.matrix, g2.matrix)
         else:
             assert g1.w == g2.w
+
+
+def dagger_reference(circuit: Circuit) -> Circuit:
+    """Inverse circuit built one gate at a time: each matrix conjugate-
+    transposed into its own read-only copy, each gate keeping its source's
+    wires (the same controls tuple object)."""
+    gates = []
+    for gate in reversed(circuit.gates):
+        if isinstance(gate, PhaseOnZero):
+            gates.append(PhaseOnZero(-gate.w))
+            continue
+        m = gate.matrix.conj().T.copy()
+        m.flags.writeable = False
+        if isinstance(gate, LocalGate):
+            gates.append(_trusted(LocalGate, positions=gate.positions, matrix=m))
+        else:
+            gates.append(_trusted(ControlledGate, controls=gate.controls, target=gate.target, matrix=m))
+    return Circuit(circuit.n, tuple(gates))
 
 
 def embed_oracle(positions, matrix, n):
@@ -208,9 +227,10 @@ def _parse_gate_reference(line: str):
         if len(toks) != 2:
             raise ParseError(f"bad iw line {line!r}")
         try:
-            return PhaseOnZero(float(toks[1]))
+            w = float(toks[1])
         except ValueError as exc:
             raise ParseError(f"bad angle in {line!r}") from exc
+        return PhaseOnZero(w)
     raise ParseError(f"unknown gate kind {kind!r}")
 
 

@@ -277,6 +277,14 @@ def test_exit_code_domain_error(tmp_path, capsys):
         _circuit_file(tmp_path, "duplicate", f"ctrl 0:1,0:0 1 {IDENTITY}"),
         _circuit_file(tmp_path, "negative", f"ctrl -1:1 1 {IDENTITY}"),
         _circuit_file(tmp_path, "beyond_n", f"ctrl 0:1 2 {IDENTITY}"),
+        _circuit_file(tmp_path, "iw_nan", "iw nan"),
+        _circuit_file(tmp_path, "iw_inf", f"ctrl 0:1 1 {IDENTITY}", "iw inf"),
+        ["dist", "--metric", "two", "--a", str(tmp_path / "iw_nan.qcircuit"),
+         "--b", str(tmp_path / "iw_inf.qcircuit")],
+        ["dist", "--metric", "frobenius", "--a", str(tmp_path / "iw_inf.qcircuit"),
+         "--b", str(tmp_path / "iw_inf.qcircuit")],
+        ["dist", "--metric", "weak2", "--a", str(tmp_path / "iw_nan.qcircuit"),
+         "--b", str(tmp_path / "iw_nan.qcircuit"), "--k", "1"],
         ["apply", "--circuit", str(cascade_file), "--state", "zero", "--n", "11"],
     ]
     for argv in cases:

@@ -130,6 +130,9 @@ def test_circuit_parse_errors():
             f"ctrl 0:1 2 {IDENTITY}\n",  # qubit >= n
             f"ctrl 2:1 1 {IDENTITY}\n",
             f"local 5 {IDENTITY}\n",
+            "iw nan\n",
+            "iw -inf\n",
+            "iw inf\nwarp 0\n",  # non-finite angle above a malformed line
         ],
         ParseError: [
             f"warp 0\nctrl 0:1 1 {DEFECT_3}\n",  # malformed above a non-unitary line
@@ -137,6 +140,7 @@ def test_circuit_parse_errors():
             f"ctrl 0:1 2 {IDENTITY}\nwarp 0\n",  # range checked after every line
             f"ctrl 0:1 1 {IDENTITY} 1:0\n",
             f"ctrl 0:1 1 1:0:0 0:0 0:0 1:0\n",
+            "warp 0\niw nan\n",  # malformed above a non-finite angle
         ],
     }
     for kind, bodies in refused.items():

@@ -40,6 +40,7 @@ from qcapprox.tensor import (
 )
 from helpers import (
     assert_same_circuit,
+    dagger_reference,
     fmt_reference,
     format_circuit_reference,
     format_state_reference,
@@ -149,7 +150,7 @@ def raw_circuits(draw):
             gate = _trusted(ControlledGate, controls=gate.controls, target=gate.target,
                             matrix=draw(any_complex(2, 2)))
         else:
-            gate = PhaseOnZero(draw(doubles))
+            gate = _trusted(PhaseOnZero, w=draw(doubles))  # the constructor refuses nan and inf
         gates.append(gate)
     return Circuit(n, tuple(gates))
 
@@ -253,6 +254,29 @@ def test_decode_encode_round_trip(spec_index):
 def test_circuit_dagger_inverts(circuit):
     product = circuit_to_matrix(circuit_dagger(circuit)) @ circuit_to_matrix(circuit)
     assert np.abs(product - np.eye(1 << circuit.n)).max() <= 1e-12
+
+
+@settings(PROPERTY, max_examples=40)
+@given(circuits(max_n=6), st.integers(0, 2))
+def test_circuit_dagger_matches_per_gate_reference(circuit, cascades):
+    # cascades from prepare_state put views of one shared stack among the gates
+    rng = np.random.default_rng(cascades)
+    gates = circuit.gates
+    for _ in range(cascades):
+        gates += prepare_state(sample_haar_state(circuit.n, rng)).circuit.gates
+    circuit = Circuit(circuit.n, gates)
+    got, want = circuit_dagger(circuit), dagger_reference(circuit)
+    assert got.n == want.n and len(got.gates) == len(want.gates)
+    for g, w in zip(got.gates, want.gates):
+        assert type(g) is type(w)
+        if isinstance(w, PhaseOnZero):
+            assert g.w == w.w
+            continue
+        assert getattr(g, "positions", None) == getattr(w, "positions", None)
+        assert getattr(g, "controls", None) is getattr(w, "controls", None)
+        assert getattr(g, "target", None) == getattr(w, "target", None)
+        assert g.matrix.shape == w.matrix.shape and g.matrix.tobytes() == w.matrix.tobytes()
+        assert not g.matrix.flags.writeable
 
 
 @st.composite

@@ -127,6 +127,47 @@ def test_prepare_gates_match_recursive_reference():
             assert np.abs(g.matrix - w.matrix).max() <= 1e-13
 
 
+def _assert_passes_public_checks(circuit):
+    """The circuit, re-validated by Circuit, and each gate by its constructor;
+    every matrix read-only."""
+    Circuit(circuit.n, circuit.gates)
+    for g in circuit.gates:
+        if isinstance(g, LocalGate):
+            LocalGate(g.positions, g.matrix)
+        elif isinstance(g, ControlledGate):
+            ControlledGate(g.controls, g.target, g.matrix)
+        if not isinstance(g, PhaseOnZero):
+            assert not g.matrix.flags.writeable
+
+
+def test_synthesized_circuits_pass_the_public_check():
+    # both synthesizers build their circuits and gates unchecked
+    rng = np.random.default_rng(13)
+    for n in range(1, 9):
+        for u in (random_state(n, rng), StateVec.basis(n, int(rng.integers(0, 1 << n)))):
+            _assert_passes_public_checks(prepare_state(u).circuit)
+    for n, k in ((1, 1), (3, 2), (6, 4)):
+        report = synthesize_transitive(_random_ortho_seq(n, k, rng))
+        assert report.residual <= 1e-7
+        _assert_passes_public_checks(report.circuit)
+
+
+def test_prepare_sparse_target_builds_no_table_per_level():
+    # one branch passes BRANCH_TOL per level: no level may build 2^(l-1) control tuples
+    n = 20
+    for b in (1, (1 << n) - 1, 0b10110011100011110000):
+        u = StateVec.basis(n, b)
+        tracemalloc.start()
+        try:
+            report = prepare_state(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.residual == 0.0
+        assert len(report.circuit.gates) <= n
+        assert peak < 4 * (16 << n)  # four states of n qubits
+
+
 def test_prepare_exact_global_phase():
     # exact including global phase, not merely up to phase
     rng = np.random.default_rng(1)

@@ -140,6 +140,9 @@ def test_phase_on_zero():
     c = Circuit(1, (PhaseOnZero(np.pi),))
     out = apply_circuit(c, StateVec.zero(1))
     assert np.allclose(out.amps, [-1.0, 0.0])
+    for w in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            PhaseOnZero(w)
 
 
 def test_controlled_gate_polarity():
@@ -149,6 +152,20 @@ def test_controlled_gate_polarity():
     assert np.allclose(out.amps, np.eye(4)[:, 2])
     out2 = apply_circuit(Circuit(2, (g,)), StateVec.basis(2, 1))
     assert np.allclose(out2.amps, np.eye(4)[:, 1])  # control bit is 1, no fire
+
+
+def test_runs_cut_at_each_repeated_pattern():
+    # gates on one target and control sequence commute only while their
+    # polarity patterns are distinct; each repeat starts a new step
+    rng = np.random.default_rng(31)
+    n, qubits = 4, (3, 0, 2)
+    for patterns in ([5, 5, 5], [1, 6, 1, 6], [0, 2, 7, 2, 0], [3, 4, 3, 3, 4, 1, 4]):
+        gates = [ControlledGate(tuple((q, (b >> j) & 1) for j, q in enumerate(qubits)), 1,
+                                haar_unitary(2, rng)) for b in patterns]
+        want = np.eye(1 << n, dtype=complex)
+        for gate in gates:
+            want = gate_oracle(gate, n) @ want
+        assert np.abs(circuit_to_matrix(Circuit(n, tuple(gates))) - want).max() <= 1e-12
 
 
 def test_apply_matches_dense_oracle():
