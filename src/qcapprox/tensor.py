@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import getitem, itemgetter
+from operator import itemgetter
 from typing import Callable, Union
 
 import numpy as np
@@ -127,10 +127,7 @@ def _check_controls(controls: tuple, target: int) -> None:
     """Polarities 0 or 1; control and target wires distinct and non-negative."""
     if not set(map(_POLARITY, controls)) <= {0, 1}:
         raise DomainError(f"control polarities must be 0 or 1: {controls}")
-    _check_wires(list(map(_QUBIT, controls)), target)
-
-
-def _check_wires(qubits: list, target: int) -> None:
+    qubits = list(map(_QUBIT, controls))
     touched = qubits + [target]
     if len(set(touched)) != len(touched):
         raise DomainError(f"controls {qubits} and target {target} must be distinct")
@@ -205,33 +202,6 @@ class ControlledGate:
         object.__setattr__(self, "target", int(self.target))
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def batch(cls, qubits, target: int, patterns, matrices) -> list["ControlledGate"]:
-        """One gate per row g of `patterns`: matrices[g] on `target` where
-        control qubit qubits[j] has polarity patterns[g, j].
-
-        The wires and polarities are validated once and the whole (G, 2, 2)
-        stack in one unitarity check; the gates share one read-only copy
-        of the stack.
-        """
-        qubits = [int(q) for q in qubits]
-        target = int(target)
-        pats = np.asarray(patterns, dtype=np.int64)
-        if pats.ndim != 2 or pats.shape[1] != len(qubits):
-            raise DomainError(f"need one polarity per control qubit, got shape {pats.shape}")
-        if not ((pats == 0) | (pats == 1)).all():
-            raise DomainError("control polarities must be 0 or 1")
-        _check_wires(qubits, target)
-        m = _check_unitary(matrices, "gate matrix")
-        if m.shape != (pats.shape[0], 2, 2):
-            raise DomainError(f"need {pats.shape[0]} 2x2 matrices, got shape {m.shape}")
-        m = m.copy()
-        m.flags.writeable = False
-        # Gates share their (qubit, polarity) pairs: fewer objects to collect.
-        pairs = [((q, 0), (q, 1)) for q in qubits]
-        controls = [tuple(map(getitem, pairs, row)) for row in pats.tolist()]
-        return _controlled_gates(controls, repeat(target), m)
-
 
 def _controlled_gates(controls, targets, matrices) -> list:
     """ControlledGates from parallel iterables of control tuples, targets and
@@ -277,11 +247,12 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
 
 def default_gate_cost(gate: Gate, n: int) -> float:
     """Two-qubit-equivalent cost of one primitive gate on an n-qubit register."""
+    # Cascades are mostly controlled gates: their test comes first.
+    if isinstance(gate, ControlledGate):
+        return float(max(1, len(gate.controls)))
     if isinstance(gate, LocalGate):
         g = gate.arity
         return 1.0 if g <= 2 else float(1 << g)
-    if isinstance(gate, ControlledGate):
-        return float(max(1, len(gate.controls)))
     if isinstance(gate, PhaseOnZero):
         return float(n * n)
     raise DomainError(f"unknown gate type {type(gate).__name__}")
@@ -316,7 +287,7 @@ class Circuit:
     def cost(self, model: CostModel = default_gate_cost) -> CircuitCost:
         return CircuitCost(
             primitive_count=len(self.gates),
-            two_qubit_equiv=float(sum(model(g, self.n) for g in self.gates)),
+            two_qubit_equiv=float(sum(map(model, self.gates, repeat(self.n)))),
         )
 
 
@@ -334,8 +305,10 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
       control, the same target and the same control qubits in the same
       order. Gates of a run with pairwise distinct polarity patterns act
       on disjoint amplitude pairs, so they commute and are one in-place
-      step; _apply_run cuts a run before each repeated pattern.
-      Phase-on-zero gates scale one entry in place.
+      step; _apply_run cuts a run before each repeated pattern. A run of
+      one is a local gate on the strided view its controls select, which
+      _apply_local updates in place slab by slab. Phase-on-zero gates scale
+      one entry in place.
     - A local gate, or a controlled gate without controls, writes its
       result into a spare tensor of the block's shape, allocated on first
       need, and the two tensors swap (see _apply_local). On adjacent
@@ -346,9 +319,12 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
     Peak memory is the block, the spare and the slab temporaries, which
     stay within a quarter of a block from 2**16 amplitudes up when the gate
     leaves at least three qubits untouched (a wider gate is cut in fewer,
-    larger slabs). Returns the (2**n, B) result, which is `block` or the
-    spare.
+    larger slabs); a run of one adds the slab temporaries of its view,
+    which is at most half a block. Returns the (2**n, B) result, which is
+    `block` or the spare.
     """
+    if not block.shape[1]:
+        return block
     t = block.reshape([2] * n + [block.shape[1]])
     spare = None
     target, qubits, run = None, None, []  # the run's target, control qubits and gates
@@ -383,23 +359,31 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
 # per (d, Y) slice is faster (measured at n = 10 to 20 and B = 1 to 16
 # with one BLAS thread: the crossover sits between d*Y = 40 and 48).
 _WIDEN_MAX = 32
-# A gate on non-adjacent qubits is contracted slab by slab, in at most
-# 2**_SLAB_AXES slabs of at least 2**_SLAB_BITS amplitudes. From 2**16
-# amplitudes up, its transposed input and fresh output take an eighth of a
-# block each; smaller blocks are cut in fewer slabs, or none, since a slab
-# costs 10-25 us of call overhead.
+# A gate on non-adjacent qubits, or any gate applied in place, is
+# contracted slab by slab, in at most 2**_SLAB_AXES slabs of at least
+# 2**_SLAB_BITS amplitudes. From 2**16 amplitudes up, its transposed input
+# and fresh output take an eighth of a block each; smaller blocks are cut
+# in fewer slabs, or none, since a slab costs 10-25 us of call overhead.
 _SLAB_AXES = 3
 _SLAB_BITS = 13
 
 
 def _apply_local(src: np.ndarray, dst: np.ndarray, n: int, positions, m: np.ndarray) -> None:
-    """Write the local gate `m` on `positions` applied to the state tensor
-    src into dst, a C-contiguous tensor of the same shape."""
+    """Write the local gate `m` on `positions` applied to the [2]*n + [B]
+    tensor src into dst: a C-contiguous tensor of the same shape, or src
+    itself, which may then be a strided view of a larger state.
+
+    Into a separate dst, a gate on adjacent qubits is one matmul over the
+    contiguous (X, d, Y) views. Otherwise, and always in place, the gate is
+    contracted slab by slab; each slab is copied before it is written, so
+    the temporaries stay within two slabs, where a matmul over a strided or
+    overlapping view would have numpy copy the whole operand.
+    """
     g, d = len(positions), 1 << len(positions)
     # Local bit g-1-k of m's rows and columns is state axis gate_axes[k].
     gate_axes = [n - 1 - q for q in reversed(positions)]
     p = min(positions)
-    if max(positions) - p == g - 1:
+    if max(positions) - p == g - 1 and dst is not src:
         # Renumber the matrix's bits in the state's order: local bit i on qubit p + i.
         order = sorted(range(g), key=gate_axes.__getitem__)
         m = m.reshape([2] * (2 * g)).transpose(order + [g + k for k in order]).reshape(d, d)
@@ -435,10 +419,19 @@ def _apply_run(t: np.ndarray, n: int, run: list) -> None:
     repeats one since the last cut, and each piece is one step. The
     patterns are read from the controls tuples in one fromiter pass and
     compared as integers after one stable sort.
+
+    A run of one is its matrix as a local gate on the view its controls
+    select: integer indices drop the control axes, and the target is
+    renumbered among the n - c qubits left.
     """
     if len(run) < 2:
-        if run:
-            _apply_step(t, n, run, None)
+        for gate in run:
+            index = [slice(None)] * (n + 1)
+            for q, pol in gate.controls:
+                index[n - 1 - q] = pol
+            below = sum(q < gate.target for q in map(_QUBIT, gate.controls))
+            view = t[tuple(index)]
+            _apply_local(view, view, n - len(gate.controls), (gate.target - below,), gate.matrix)
         return
     g, c = len(run), len(run[0].controls)
     flat = chain.from_iterable([gate.controls for gate in run])
@@ -461,31 +454,12 @@ def _apply_step(t: np.ndarray, n: int, gates: list, polarities) -> None:
     """Apply controlled gates on disjoint amplitude pairs (one target, one
     sequence of control qubits, distinct patterns) to t in place.
 
-    A single gate updates two basic-indexing views of t (length-1 slices on
-    the control axes, so no index arrays and no copy). More gates move the
-    control axes and the target axis to the front, gather their G amplitude
-    pairs with one advanced index (the rows of `polarities`), apply the
-    (G, 2, 2) stack, one concatenate of their matrices, in one einsum and
-    scatter the result back.
+    The control axes and the target axis move to the front; the G amplitude
+    pairs are gathered with one advanced index (the rows of `polarities`),
+    the (G, 2, 2) stack, one concatenate of their matrices, is applied in
+    one einsum, and the result is scattered back.
     """
-    first = gates[0]
-    axis = n - 1 - first.target
-    if len(gates) == 1:
-        m = first.matrix
-        index = [slice(None)] * (n + 1)
-        for q, pol in first.controls:
-            index[n - 1 - q] = slice(pol, pol + 1)
-        index[axis] = slice(0, 1)
-        v0 = t[tuple(index)]
-        index[axis] = slice(1, 2)
-        v1 = t[tuple(index)]
-        new0 = m[0, 0] * v0
-        new0 += m[0, 1] * v1
-        v1 *= m[1, 1]
-        v1 += m[1, 0] * v0
-        v0[...] = new0
-        return
-    front = [n - 1 - q for q, _ in first.controls] + [axis]
+    front = [n - 1 - q for q, _ in gates[0].controls] + [n - 1 - gates[0].target]
     view = np.moveaxis(t, front, range(len(front)))
     pairs = tuple(polarities.T)
     stack = np.concatenate([gate.matrix for gate in gates]).reshape(-1, 2, 2)

@@ -19,7 +19,7 @@ from qcapprox import (
     embed_gate,
     measure_prefix,
 )
-from qcapprox.tensor import SIM_QUBIT_CAP
+from qcapprox.tensor import SIM_QUBIT_CAP, gate_qubits
 from helpers import (
     embed_oracle,
     gate_oracle,
@@ -73,32 +73,6 @@ def test_gate_validation():
         ControlledGate(((1, 0),), 1, X)  # control hits target
     with pytest.raises(DomainError):
         Circuit(2, (LocalGate((5,), X),))  # out of range
-    # the batch constructor rejects what the single-gate form rejects
-    nan = np.array([[0, np.nan], [1, 0]], dtype=complex)
-    skew = np.array([[1, 1], [0, 1]], dtype=complex)
-    for qubits, target, patterns, matrices in (
-        ((0,), 1, [[1], [0]], [X, nan]),
-        ((0,), 1, [[1], [0]], [X, skew]),  # one non-unitary matrix in the stack
-        ((0,), 1, [[2]], [X]),  # bad polarity
-        ((1,), 1, [[0]], [X]),  # control hits target
-        ((0, 2), 1, [[0]], [X]),  # one polarity for two controls
-        ((0,), 1, [[0], [1]], [X]),  # fewer matrices than patterns
-    ):
-        with pytest.raises(DomainError):
-            ControlledGate.batch(qubits, target, patterns, np.array(matrices))
-
-
-def test_controlled_batch_matches_single_gates():
-    rng = np.random.default_rng(4)
-    mats = np.array([haar_unitary(2, rng) for _ in range(3)])
-    patterns = [[0, 1], [1, 1], [0, 0]]
-    gates = ControlledGate.batch([2, 0], 1, patterns, mats)
-    for gate, pattern, m in zip(gates, patterns, mats):
-        single = ControlledGate(((2, pattern[0]), (0, pattern[1])), 1, m)
-        assert gate.controls == single.controls and gate.target == single.target
-        assert np.array_equal(gate.matrix, single.matrix)
-        assert not gate.matrix.flags.writeable
-    assert ControlledGate.batch([], 0, np.zeros((0, 0)), np.zeros((0, 2, 2))) == []
 
 
 def test_embed_x_on_qubit_one():
@@ -247,6 +221,43 @@ def test_apply_peak_memory_and_result_layout():
         assert np.array_equal(s.amps, before)
 
 
+def _controlled_wires(n, c, placement, rng):
+    """Target and c control qubits: all controls above the target, all
+    below it, on both sides of it (alternating, one side only for c=1), or
+    wrapping from target n-1 to controls 0..c-1."""
+    if placement == "wrap":
+        return n - 1, list(range(c))
+    if placement == "above":
+        target = int(rng.integers(0, n - c))
+        return target, [int(q) for q in rng.choice(np.arange(target + 1, n), size=c, replace=False)]
+    if placement == "below":
+        target = int(rng.integers(c, n))
+        return target, [int(q) for q in rng.choice(target, size=c, replace=False)]
+    target = n // 2
+    above = rng.choice(np.arange(target + 1, n), size=(c + 1) // 2, replace=False)
+    below = rng.choice(target, size=c // 2, replace=False)
+    return target, [int(q) for pair in zip(above, below) for q in pair] + [int(q) for q in above[len(below):]]
+
+
+def test_lone_controlled_gates_in_place_match_oracle():
+    # A controlled gate that runs alone is its matrix as a local gate on the
+    # view its controls select, updated in place slab by slab. Blocks of 0
+    # to 256 columns cut that view in one, two, four or eight slabs. (The
+    # dense oracle of 5 or 6 controls at n=10 would take seconds.)
+    rng = np.random.default_rng(41)
+    for n, most in ((8, 6), (10, 4)):
+        for c in range(1, most + 1):
+            for placement in ("above", "below", "interleaved", "wrap"):
+                target, qubits = _controlled_wires(n, c, placement, rng)
+                controls = tuple((q, int(rng.integers(0, 2))) for q in qubits)
+                gate = ControlledGate(controls, target, haar_unitary(2, rng))
+                want = gate_oracle(gate, n)
+                for cols in (0, 1, 3, 16, 256):
+                    inputs = rng.choice(1 << n, size=cols, replace=False)
+                    got = basis_columns(Circuit(n, (gate,)), inputs)
+                    assert np.abs(got - want[:, inputs]).max(initial=0.0) <= 1e-12
+
+
 def test_non_adjacent_gates_in_slabs_match_oracle():
     # Blocks of 2**14 and 2**16 amplitudes, contracted in two and in eight
     # slabs, with gate qubits among the leading axes the slabs are cut from.
@@ -373,3 +384,21 @@ def test_default_cost_model():
     cost = c.cost()
     assert cost.primitive_count == 2
     assert cost.two_qubit_equiv == 1 + 4
+
+
+def test_circuit_cost_is_the_per_gate_sum():
+    # Every gate kind, in a circuit whose cost sums fractions in an order
+    # that rounding would show: the same sum as one model call per gate.
+    rng = np.random.default_rng(44)
+    n = 6
+    gates = tuple(kernel_gate(n, rng) for _ in range(60)) + tuple(kernel_run(n, rng))
+    assert {type(g) for g in gates} == {LocalGate, ControlledGate, PhaseOnZero}
+    c = Circuit(n, gates)
+
+    def model(gate, n):
+        return 0.1 * len(gate_qubits(gate)) + n / 7
+
+    for cost_model in (default_gate_cost, model):
+        want = float(sum(cost_model(g, n) for g in gates))
+        assert c.cost(cost_model).two_qubit_equiv == want
+    assert c.cost().primitive_count == len(gates)
