@@ -1,6 +1,9 @@
 """Shared test utilities: random unitaries, states and circuits, the
-brute-force dense oracle for gates, and entry-by-entry references for the
-circuit and state file formats."""
+brute-force dense oracle for gates, entry-by-entry references for the
+circuit and state file formats, and per-chunk references for the
+Monte-Carlo experiments."""
+
+import math
 
 import numpy as np
 
@@ -12,6 +15,13 @@ from qcapprox.fileio import (
     ParseError,
     _parse_entry,
     _split_lines,
+)
+from qcapprox.measure import (
+    CHUNK,
+    McEstimate,
+    RngStream,
+    simplex_ball_bound,
+    sphere_cap_bound,
 )
 from qcapprox.tensor import _trusted
 
@@ -239,3 +249,40 @@ def parse_circuit_reference(text: str) -> Circuit:
     soon as it is read: the order of checks parse_circuit must keep."""
     n, body = _split_lines(text, CIRCUIT_MAGIC)
     return Circuit(n, tuple(_parse_gate_reference(line) for line in body))
+
+
+def _mc_reference(samples: int, stream: RngStream, bound: float, chunk_hits) -> McEstimate:
+    hits = 0
+    for chunk_index, done in enumerate(range(0, samples, CHUNK)):
+        hits += chunk_hits(stream.chunk_generator(chunk_index), min(CHUNK, samples - done))
+    p = hits / samples
+    return McEstimate(p, math.sqrt(p * (1 - p) / samples), samples, bound)
+
+
+def mc_sphere_cap_reference(eps, m, samples, stream, center=None) -> McEstimate:
+    """Fresh complex arrays per chunk: numpy's complex norm and
+    complex-by-real division, the estimates mc_sphere_cap must keep."""
+    if center is None:
+        u = np.zeros(m, dtype=complex)
+        u[0] = 1.0
+    else:
+        u = np.asarray(center, dtype=complex)
+
+    def chunk_hits(rng, take):
+        z = rng.standard_normal((take, m)) + 1j * rng.standard_normal((take, m))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        return int((np.linalg.norm(z - u, axis=1) <= eps).sum())
+
+    return _mc_reference(samples, stream, sphere_cap_bound(eps, m), chunk_hits)
+
+
+def mc_simplex_ball_reference(eps, dim, samples, stream, center=None) -> McEstimate:
+    """Fresh arrays per chunk: the estimates mc_simplex_ball must keep."""
+    v = np.full(dim, 1.0 / dim) if center is None else np.asarray(center, dtype=float)
+
+    def chunk_hits(rng, take):
+        e = rng.standard_exponential((take, dim))
+        x = e / e.sum(axis=1, keepdims=True)
+        return int((np.abs(x - v).sum(axis=1) <= eps).sum())
+
+    return _mc_reference(samples, stream, simplex_ball_bound(eps, dim), chunk_hits)

@@ -262,6 +262,11 @@ def test_exit_code_domain_error(tmp_path, capsys):
         thm41 + ["--eps", "0.1", "--alpha", "nan"],
         thm51 + ["--q", "nan"],
         ["mc", "--experiment", "simplex-ball", "--N", "4", "--eps", "nan", "--samples", "10"],
+        # chunk buffers over measure.MC_BUFFER_CAP, refused before they exist
+        ["mc", "--experiment", "simplex-ball", "--N", "1000000000", "--eps", "0.25",
+         "--samples", "100000"],
+        ["mc", "--experiment", "sphere-ball", "--m", "100000000", "--eps", "0.5",
+         "--samples", "10"],
         ["net", "--g", "1", "--delta", "1", "--rho", "nan", "--count"],
         ["dist", "--metric", "frobenius", "--a", str(nan_matrix), "--b", str(nan_matrix)],
         ["dist", "--metric", "weak2", "--a", str(nan_matrix), "--b", str(nan_matrix), "--k", "1"],

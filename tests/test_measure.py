@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import scipy.stats
 
 from qcapprox.measure import (
     CHUNK,
+    MC_BUFFER_CAP,
     McEstimate,
     RngStream,
     ball_volume_bound,
@@ -22,7 +25,7 @@ from qcapprox.measure import (
     sphere_measure,
 )
 from qcapprox.tensor import DomainError
-from helpers import haar_unitary
+from helpers import haar_unitary, mc_simplex_ball_reference, mc_sphere_cap_reference
 
 
 def test_rng_stream_validation():
@@ -252,6 +255,76 @@ def test_mc_sphere_cap_matches_chunk_oracle():
         hits += int((np.abs(x - 0.25).sum(axis=1) <= 0.5).sum())
     assert est.estimate == hits / samples
     assert est.std_error == math.sqrt(est.estimate * (1 - est.estimate) / samples)
+
+
+MC_SAMPLE_COUNTS = (CHUNK - 1, CHUNK, CHUNK + 7, 2 * CHUNK + 3)
+
+
+def _mc_reference_settings():
+    """(experiment, reference, eps, dim, samples, stream, center): the C06
+    and C07 grids at every sample count above, then off-default centers."""
+    sphere = itertools.product((3, 4, 5, 6), (0.3, 0.5, 0.8, 1.2), MC_SAMPLE_COUNTS)
+    for i, (m, eps, samples) in enumerate(sphere):
+        yield mc_sphere_cap, mc_sphere_cap_reference, eps, m, samples, RngStream(400, i), None
+    simplex = itertools.product((2, 4, 8), (0.1, 0.25, 0.4), MC_SAMPLE_COUNTS)
+    for i, (dim, eps, samples) in enumerate(simplex):
+        yield mc_simplex_ball, mc_simplex_ball_reference, eps, dim, samples, RngStream(401, i), None
+    rng = np.random.default_rng(402)
+    for i, samples in enumerate(MC_SAMPLE_COUNTS):
+        u = rng.normal(size=4) + 1j * rng.normal(size=4)
+        u /= np.linalg.norm(u)
+        yield mc_sphere_cap, mc_sphere_cap_reference, 0.8, 4, samples, RngStream(403, i), u
+        v = sample_simplex(4, RngStream(404, i).generator())
+        yield mc_simplex_ball, mc_simplex_ball_reference, 0.25, 4, samples, RngStream(405, i), v
+
+
+def test_mc_estimates_match_per_chunk_reference():
+    # The buffered, in-place hit tests must count the same hits as fresh
+    # per-chunk arrays. The sphere distances are summed in real arithmetic,
+    # which differs by an ulp or two from numpy's complex modulus (a fused
+    # multiply-add) in about one row in eight.
+    settings = list(_mc_reference_settings())
+    assert len(settings) >= 100
+    for fn, reference, eps, dim, samples, stream, center in settings:
+        got = fn(eps, dim, samples, stream, center=center)
+        want = reference(eps, dim, samples, stream, center=center)
+        assert got.estimate == want.estimate, (fn.__name__, eps, dim, samples, stream)
+        assert got.std_error == want.std_error, (fn.__name__, eps, dim, samples, stream)
+
+
+def test_mc_peak_memory_is_draws_plus_two_scratch_chunks():
+    # One (CHUNK, 3) float64 array is 1.5 MiB. The sphere draws two of them
+    # (real and imaginary parts), the simplex one. The slack covers the
+    # row sums and the hit mask (9 bytes a row), the generators and numpy's
+    # own ufunc buffers.
+    chunk_bytes = CHUNK * 3 * 8
+    slack = CHUNK * 9 + (256 << 10)
+    for fn, eps, draws in ((mc_sphere_cap, 0.5, 2), (mc_simplex_ball, 0.25, 1)):
+        fn(eps, 3, 10, RngStream(1))
+        tracemalloc.start()
+        try:
+            fn(eps, 3, 3 * CHUNK, RngStream(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (draws + 2) * chunk_bytes + slack, (fn.__name__, peak)
+
+
+def test_mc_dimension_cap_refused_before_allocation():
+    # Each call is refused before its center or any chunk buffer exists.
+    # The first two would need 8 GB or more per buffer; the last two are
+    # one column over the cap.
+    for fn, eps, dim, samples in (
+        (mc_sphere_cap, 0.5, 100_000_000, 10),
+        (mc_simplex_ball, 0.25, 1_000_000_000, 100_000),
+        (mc_sphere_cap, 0.5, MC_BUFFER_CAP // CHUNK + 1, CHUNK),
+        (mc_simplex_ball, 0.25, MC_BUFFER_CAP // CHUNK + 1, 3 * CHUNK),
+    ):
+        with pytest.raises(DomainError, match="over the cap"):
+            fn(eps, dim, samples, RngStream(0))
+    # a chunk buffer of exactly MC_BUFFER_CAP entries is accepted
+    dim = MC_BUFFER_CAP // CHUNK
+    assert mc_simplex_ball(0.25, dim, CHUNK, RngStream(0)).samples == CHUNK
 
 
 def test_mc_sphere_cap_paired_monotonicity():
