@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from math import prod
 from operator import itemgetter
 from typing import Callable, Union
 
@@ -20,10 +21,13 @@ UNITARY_TOL = 1e-9
 
 # Full matrices above this register size are refused by default.
 DENSE_QUBIT_CAP = 10
-# State-only simulation cap (2**24 amplitudes = 256 MiB of complex128).
+# State-only simulation cap: 2**24 amplitudes, 256 MiB of complex128.
+# apply_circuit holds the input, the copy that every gate updates in place
+# and one scratch of SCRATCH_AMPS amplitudes: about 515 MiB at the cap.
 SIM_QUBIT_CAP = 24
 # Columns run through a circuit together are batched up to this many
-# amplitudes (16 MiB of complex128), the size of one 20-qubit state.
+# amplitudes (16 MiB of complex128), the size of one 20-qubit state; the
+# batch is updated in place beside one scratch of SCRATCH_AMPS amplitudes.
 BLOCK_AMPS = 1 << 20
 
 
@@ -297,36 +301,29 @@ def embed_gate(gate: Gate, n: int, dense_cap: int = DENSE_QUBIT_CAP) -> np.ndarr
 
 
 def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
-    """Apply gates in order to every column of a (2**n, B) block.
+    """Apply gates in order to every column of a C-contiguous (2**n, B)
+    block, in place, and return the block.
 
-    The block is viewed as a C-contiguous [2]*n + [B] tensor whose axis
-    n-1-q is qubit q, and the state stays C-contiguous for the whole run:
+    The block is viewed as a [2]*n + [B] tensor whose axis n-1-q is qubit
+    q. Every gate updates it through one scratch buffer, allocated once per
+    call (see _scratch_amps):
     - A run is a stretch of consecutive ControlledGates with at least one
       control, the same target and the same control qubits in the same
       order. Gates of a run with pairwise distinct polarity patterns act
-      on disjoint amplitude pairs, so they commute and are one in-place
-      step; _apply_run cuts a run before each repeated pattern. A run of
-      one is a local gate on the strided view its controls select, which
-      _apply_local updates in place slab by slab. Phase-on-zero gates scale
-      one entry in place.
-    - A local gate, or a controlled gate without controls, writes its
-      result into a spare tensor of the block's shape, allocated on first
-      need, and the two tensors swap (see _apply_local). On adjacent
-      qubits p..p+g-1, in any order, it is one matmul over the contiguous
-      (2**(n-p-g), 2**g, 2**p * B) view of the state. On other qubits it
-      is a contraction written slab by slab: a transposed copy of the
-      slab with the gate axes first, one matmul, and one strided write.
-    Peak memory is the block, the spare and the slab temporaries, which
-    stay within a quarter of a block from 2**16 amplitudes up when the gate
-    leaves at least three qubits untouched (a wider gate is cut in fewer,
-    larger slabs); a run of one adds the slab temporaries of its view,
-    which is at most half a block. Returns the (2**n, B) result, which is
-    `block` or the spare.
+      on disjoint amplitude pairs, so they commute and are one step;
+      _apply_run cuts a run before each repeated pattern. A run of one is a
+      local gate on the strided view its controls select. Phase-on-zero
+      gates scale one entry.
+    - A local gate, or a controlled gate without controls, is _apply_local
+      on the whole tensor: one matmul per chunk on adjacent qubits, a
+      contraction slab by slab on other qubits.
+    Peak memory is the block and the scratch; a run step adds its gathered
+    amplitude pairs, at most half a scratch at a time.
     """
     if not block.shape[1]:
         return block
     t = block.reshape([2] * n + [block.shape[1]])
-    spare = None
+    scratch = np.empty(_scratch_amps(block.size), dtype=complex)
     target, qubits, run = None, None, []  # the run's target, control qubits and gates
     for gate in gates:
         controls = gate.controls if isinstance(gate, ControlledGate) else None
@@ -335,82 +332,117 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
             if gate.target == target and wires == qubits:
                 run.append(gate)
                 continue
-            _apply_run(t, n, run)
+            _apply_run(t, n, run, scratch)
             target, qubits, run = gate.target, wires, [gate]
             continue
-        _apply_run(t, n, run)
+        _apply_run(t, n, run, scratch)
         target, qubits, run = None, None, []
         if isinstance(gate, PhaseOnZero):
             t[(0,) * n] *= np.exp(1j * gate.w)
             continue
-        if spare is None:
-            spare = np.empty_like(t)
         positions = gate.positions if isinstance(gate, LocalGate) else (gate.target,)
-        _apply_local(t, spare, n, positions, gate.matrix)
-        t, spare = spare, t
-    _apply_run(t, n, run)
-    return t.reshape(block.shape)
+        _apply_local(t, n, positions, gate.matrix, scratch)
+    _apply_run(t, n, run, scratch)
+    return block
 
 
+# One call's scratch buffer holds an eighth of the block, at most
+# SCRATCH_AMPS amplitudes (512 KiB of complex128, reached at 2**18
+# amplitudes) and at least _SCRATCH_MIN, or twice the block when that is
+# less. The floor keeps gates on blocks below 2**17 amplitudes in few
+# chunks, since a chunk costs 10-25 us of call overhead. The cap keeps a
+# chunk and its scratch within a 2 MiB L2 cache: on a 2-vCPU Xeon with one
+# BLAS thread, gates at n=20 ran fastest with 2**15 of 2**15, 2**16 and
+# 2**17 (BENCH_inplace.json).
+SCRATCH_AMPS = 1 << 15
+_SCRATCH_MIN = 1 << 14
 # A gate on adjacent qubits p..p+g-1 is a (d, d) matrix, d = 2**g, applied
 # to the middle axis of the contiguous (X, d, Y) view of the state, where
 # Y = 2**p * B. While d * Y is at most this, the matrix is widened to
-# kron(M, I_Y) and the whole state is one (X, d*Y) gemm; past it, one gemm
-# per (d, Y) slice is faster (measured at n = 10 to 20 and B = 1 to 16
+# kron(M, I_Y) and rows of X go through one (rows, d*Y) gemm; past it, one
+# gemm per (d, Y) slice is faster (measured at n = 10 to 20 and B = 1 to 16
 # with one BLAS thread: the crossover sits between d*Y = 40 and 48).
 _WIDEN_MAX = 32
-# A gate on non-adjacent qubits, or any gate applied in place, is
-# contracted slab by slab, in at most 2**_SLAB_AXES slabs of at least
-# 2**_SLAB_BITS amplitudes. From 2**16 amplitudes up, its transposed input
-# and fresh output take an eighth of a block each; smaller blocks are cut
-# in fewer slabs, or none, since a slab costs 10-25 us of call overhead.
-_SLAB_AXES = 3
-_SLAB_BITS = 13
 
 
-def _apply_local(src: np.ndarray, dst: np.ndarray, n: int, positions, m: np.ndarray) -> None:
-    """Write the local gate `m` on `positions` applied to the [2]*n + [B]
-    tensor src into dst: a C-contiguous tensor of the same shape, or src
-    itself, which may then be a strided view of a larger state.
+def _scratch_amps(amps: int) -> int:
+    return min(2 * amps, max(_SCRATCH_MIN, min(SCRATCH_AMPS, amps >> 3)))
 
-    Into a separate dst, a gate on adjacent qubits is one matmul over the
-    contiguous (X, d, Y) views. Otherwise, and always in place, the gate is
-    contracted slab by slab; each slab is copied before it is written, so
-    the temporaries stay within two slabs, where a matmul over a strided or
-    overlapping view would have numpy copy the whole operand.
+
+def _slabs(shape, keep, limit: int):
+    """Index tuples of slices that cut an array of `shape` into slabs of at
+    most `limit` entries. Every axis has length 2 except the last, the
+    block's columns. The fewest leading axes not in `keep` are cut in
+    halves; if every such axis is cut and a slab is still too large, the
+    columns are cut into ranges too."""
+    free = [a for a in range(len(shape) - 1) if a not in keep]
+    size, cuts = prod(shape), 0
+    while size > limit and cuts < len(free):
+        size, cuts = size >> 1, cuts + 1
+    cols = shape[-1]
+    width = cols if size <= limit else limit // (size // cols)
+    index = [slice(None)] * len(shape)
+    for bits in range(1 << cuts):
+        for j, a in enumerate(free[:cuts]):
+            b = (bits >> j) & 1
+            index[a] = slice(b, b + 1)
+        for c0 in range(0, cols, width):
+            index[-1] = slice(c0, c0 + width)
+            yield tuple(index)
+
+
+def _apply_local(src: np.ndarray, n: int, positions, m: np.ndarray, scratch: np.ndarray) -> None:
+    """Apply the local gate `m` on `positions` in place to the [2]*n + [B]
+    tensor src, which may be a strided view of a larger state.
+
+    On a C-contiguous src, a gate on adjacent qubits runs its matmul over
+    scratch-sized chunks of the (X, d, Y) view: rows of X, or column
+    ranges of Y when one row is larger than the scratch, as for gates on
+    the top qubits. Each chunk is written into the scratch and copied back.
+    Otherwise the gate is contracted slab by slab: each slab is gathered
+    into one half of the scratch with the gate axes first, multiplied into
+    the other half and copied back, where a matmul over a strided view would
+    have numpy copy the whole operand.
     """
     g, d = len(positions), 1 << len(positions)
+    if scratch.size < 2 * d:  # a gate on 14 or more qubits; its own matrix is far larger
+        scratch = np.empty(2 * d, dtype=complex)
     # Local bit g-1-k of m's rows and columns is state axis gate_axes[k].
     gate_axes = [n - 1 - q for q in reversed(positions)]
     p = min(positions)
-    if max(positions) - p == g - 1 and dst is not src:
+    if max(positions) - p == g - 1 and src.flags.c_contiguous:
         # Renumber the matrix's bits in the state's order: local bit i on qubit p + i.
         order = sorted(range(g), key=gate_axes.__getitem__)
         m = m.reshape([2] * (2 * g)).transpose(order + [g + k for k in order]).reshape(d, d)
         x, y = 1 << (n - p - g), src.shape[-1] << p
-        if d * y <= _WIDEN_MAX:
-            w = (m[:, None, :, None] * np.eye(y)[:, None]).reshape(d * y, d * y)  # kron(m, I_y)
-            np.matmul(src.reshape(x, d * y), w.T, out=dst.reshape(x, d * y))
-        else:
-            np.matmul(m, src.reshape(x, d, y), out=dst.reshape(x, d, y))
+        widened = d * y <= _WIDEN_MAX
+        if widened:
+            w = (m[:, None, :, None] * np.eye(y)[:, None]).reshape(d * y, d * y).T  # kron(m, I_y).T
+        v = src.reshape(x, d, y)
+        rows, width = max(1, scratch.size // (d * y)), min(y, scratch.size // d)
+        for x0 in range(0, x, rows):
+            for y0 in range(0, y, width):
+                part = v[x0:x0 + rows, :, y0:y0 + width]
+                out = scratch[:part.size].reshape(part.shape)
+                if widened:
+                    np.matmul(part.reshape(-1, d * y), w, out=out.reshape(-1, d * y))
+                else:
+                    np.matmul(m, part, out=out)
+                part[...] = out
         return
-    cuts = min(_SLAB_AXES, (src.size >> (_SLAB_BITS + 1)).bit_length())
-    # A wide gate may leave fewer untouched qubits than cuts: its slabs are larger.
-    slab_axes = [a for a in range(n) if a not in gate_axes][:cuts]
-    s = len(slab_axes)
     # Within a slab: the gate axes first, in m's bit order, then the rest.
-    rest = [a for a in range(n + 1) if a not in slab_axes]
-    perm = [rest.index(a) for a in gate_axes]
-    perm += [k for k in range(n + 1 - s) if k not in perm]
-    for bits in range(1 << s):
-        index = [slice(None)] * (n + 1)
-        for j, a in enumerate(slab_axes):
-            index[a] = (bits >> j) & 1
-        slab = src[tuple(index)].transpose(perm)
-        dst[tuple(index)].transpose(perm)[...] = (m @ slab.reshape(d, -1)).reshape(slab.shape)
+    perm = gate_axes + [a for a in range(n + 1) if a not in gate_axes]
+    half = scratch.size >> 1
+    for index in _slabs(src.shape, gate_axes, half):
+        slab = src[index].transpose(perm)
+        gathered = scratch[:slab.size].reshape(d, -1)
+        gathered.reshape(slab.shape)[...] = slab
+        out = scratch[half:half + slab.size].reshape(d, -1)
+        np.matmul(m, gathered, out=out)
+        slab[...] = out.reshape(slab.shape)
 
 
-def _apply_run(t: np.ndarray, n: int, run: list) -> None:
+def _apply_run(t: np.ndarray, n: int, run: list, scratch: np.ndarray) -> None:
     """Apply consecutive ControlledGates with one target and one sequence of
     control qubits to the state tensor t in place.
 
@@ -430,8 +462,7 @@ def _apply_run(t: np.ndarray, n: int, run: list) -> None:
             for q, pol in gate.controls:
                 index[n - 1 - q] = pol
             below = sum(q < gate.target for q in map(_QUBIT, gate.controls))
-            view = t[tuple(index)]
-            _apply_local(view, view, n - len(gate.controls), (gate.target - below,), gate.matrix)
+            _apply_local(t[tuple(index)], n - len(gate.controls), (gate.target - below,), gate.matrix, scratch)
         return
     g, c = len(run), len(run[0].controls)
     flat = chain.from_iterable([gate.controls for gate in run])
@@ -447,23 +478,34 @@ def _apply_run(t: np.ndarray, n: int, run: list) -> None:
             cuts.append(i)
     cuts.append(g)
     for a, b in zip(cuts, cuts[1:]):
-        _apply_step(t, n, run[a:b], polarities[a:b])
+        _apply_step(t, n, run[a:b], polarities[a:b], scratch)
 
 
-def _apply_step(t: np.ndarray, n: int, gates: list, polarities) -> None:
+def _apply_step(t: np.ndarray, n: int, gates: list, polarities, scratch: np.ndarray) -> None:
     """Apply controlled gates on disjoint amplitude pairs (one target, one
     sequence of control qubits, distinct patterns) to t in place.
 
-    The control axes and the target axis move to the front; the G amplitude
-    pairs are gathered with one advanced index (the rows of `polarities`),
-    the (G, 2, 2) stack, one concatenate of their matrices, is applied in
-    one einsum, and the result is scattered back.
+    The control axes and the target axis move to the front. The amplitude
+    pairs are taken in pieces of at most half a scratch: slabs of the axes
+    behind the target, and within a slab groups of gates. A piece is
+    gathered with one advanced index (rows of `polarities`), its slice of
+    the (G, 2, 2) stack, one concatenate of the matrices, is applied in one
+    einsum into the scratch, and the result is scattered back.
     """
+    c = len(gates[0].controls)
     front = [n - 1 - q for q, _ in gates[0].controls] + [n - 1 - gates[0].target]
-    view = np.moveaxis(t, front, range(len(front)))
-    pairs = tuple(polarities.T)
+    view = np.moveaxis(t, front, range(c + 1))
     stack = np.concatenate([gate.matrix for gate in gates]).reshape(-1, 2, 2)
-    view[pairs] = np.einsum("gij,gj...->gi...", stack, view[pairs])
+    half = scratch.size >> 1
+    for index in _slabs(view.shape[c:], (0,), half):
+        sub = view[(slice(None),) * c + index]
+        per = sub.size >> c  # one gate's amplitude pairs in this slab
+        group = max(1, half // per)
+        for g0 in range(0, len(gates), group):
+            m = stack[g0:g0 + group]
+            out = scratch[:len(m) * per].reshape(m.shape[:1] + sub.shape[c:])
+            pairs = tuple(polarities[g0:g0 + group].T)
+            sub[pairs] = np.einsum("gij,gj...->gi...", m, sub[pairs], out=out)
 
 
 def basis_columns(circuit: Circuit, inputs) -> np.ndarray:

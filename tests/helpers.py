@@ -1,9 +1,10 @@
 """Shared test utilities: random unitaries, states and circuits, the
 brute-force dense oracle for gates, entry-by-entry references for the
-circuit and state file formats, and per-chunk references for the
-Monte-Carlo experiments."""
+circuit and state file formats, per-chunk references for the Monte-Carlo
+experiments, and a tracemalloc peak probe."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -24,6 +25,17 @@ from qcapprox.measure import (
     sphere_cap_bound,
 )
 from qcapprox.tensor import _trusted
+
+
+def traced_peak(fn):
+    """(fn(), the tracemalloc peak in bytes while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from qcapprox.measure import (
     sphere_measure,
 )
 from qcapprox.tensor import DomainError
-from helpers import haar_unitary, mc_simplex_ball_reference, mc_sphere_cap_reference
+from helpers import haar_unitary, mc_simplex_ball_reference, mc_sphere_cap_reference, traced_peak
 
 
 def test_rng_stream_validation():
@@ -301,12 +300,7 @@ def test_mc_peak_memory_is_draws_plus_two_scratch_chunks():
     slack = CHUNK * 9 + (256 << 10)
     for fn, eps, draws in ((mc_sphere_cap, 0.5, 2), (mc_simplex_ball, 0.25, 1)):
         fn(eps, 3, 10, RngStream(1))
-        tracemalloc.start()
-        try:
-            fn(eps, 3, 3 * CHUNK, RngStream(1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: fn(eps, 3, 3 * CHUNK, RngStream(1)))
         assert peak <= (draws + 2) * chunk_bytes + slack, (fn.__name__, peak)
 
 

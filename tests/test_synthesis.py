@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,7 @@ from qcapprox.linalg import eig_unitary, gram_schmidt
 from qcapprox.metrics import weak_two_norm
 from qcapprox.synthesis import BRANCH_TOL, IDENTITY_GATE_TOL, _prepare_gates
 from qcapprox.tensor import DomainError
-from helpers import haar_unitary, random_state
+from helpers import haar_unitary, random_state, traced_peak
 
 
 def test_prepare_zero_state_is_empty():
@@ -157,12 +155,7 @@ def test_prepare_sparse_target_builds_no_table_per_level():
     n = 20
     for b in (1, (1 << n) - 1, 0b10110011100011110000):
         u = StateVec.basis(n, b)
-        tracemalloc.start()
-        try:
-            report = prepare_state(u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(lambda: prepare_state(u))
         assert report.residual == 0.0
         assert len(report.circuit.gates) <= n
         assert peak < 4 * (16 << n)  # four states of n qubits
@@ -290,12 +283,7 @@ def test_transitive_large_n(n, k):
 def test_transitive_allocates_no_dense_matrix():
     n, k = 9, 1
     seq = _random_ortho_seq(n, k, np.random.default_rng(9))
-    tracemalloc.start()
-    try:
-        synthesize_transitive(seq)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: synthesize_transitive(seq))
     assert peak < (1 << 2 * n) * 16  # one 2^n x 2^n complex array
 
 

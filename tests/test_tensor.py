@@ -1,4 +1,4 @@
-import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,7 +19,8 @@ from qcapprox import (
     embed_gate,
     measure_prefix,
 )
-from qcapprox.tensor import SIM_QUBIT_CAP, gate_qubits
+from qcapprox import tensor
+from qcapprox.tensor import SIM_QUBIT_CAP, _scratch_amps, gate_qubits
 from helpers import (
     embed_oracle,
     gate_oracle,
@@ -28,9 +29,24 @@ from helpers import (
     kernel_run,
     random_circuit,
     random_state,
+    traced_peak,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+# A scratch of this many amplitudes cuts blocks of 2**8 and 2**12
+# amplitudes (B = 1 and 16 columns at n=8) into many chunks, small enough
+# for the dense oracle.
+SMALL_SCRATCH = 64
+
+
+@contextmanager
+def small_scratch(monkeypatch):
+    """Inside the `with` block, every _run_gates call sizes its scratch at
+    SMALL_SCRATCH amplitudes."""
+    with monkeypatch.context() as mp:
+        mp.setattr(tensor, "_scratch_amps", lambda amps: SMALL_SCRATCH)
+        yield
 
 
 def test_state_validation():
@@ -142,7 +158,36 @@ def test_runs_cut_at_each_repeated_pattern():
         assert np.abs(circuit_to_matrix(Circuit(n, tuple(gates))) - want).max() <= 1e-12
 
 
-def test_apply_matches_dense_oracle():
+def _chunked_gates(n, rng):
+    """Gates at n=8 that a SMALL_SCRATCH scratch cuts in every direction,
+    each more than once at B = 1 and at B = 16 columns:
+    - rows of X through the widened kron gemm: qubit 0 (4 / 64 chunks at
+      B = 1 / 16), qubits 1-2 and qubit 1 (4 chunks each at B = 1);
+    - rows of X, one gemm per (d, Y) slice: qubit 5 and qubits 4-5 (4 each
+      at B = 1), qubit 1 (64 at B = 16);
+    - column ranges of Y: qubit 7 and qubits 7-5 in descending order (4 /
+      64 each), and at B = 16 every other adjacent gate;
+    - slabs gathered into the scratch, on qubits 0 and 7 and on 2, 7 and
+      4 (8 / 128 each; at B = 16 every slab is also cut in column ranges);
+    - lone controlled gates: the contiguous view under a control on qubit
+      7 (2 / 32 chunks), the strided view under controls 0 and 5 (2 / 32
+      slabs);
+    - runs: 4 gates under controls 2 and 4, one gate per piece, and 16
+      under controls 0-3, two gates per piece at B = 1 (8 / 128 pieces
+      each);
+    - a controlled gate without controls and phase-on-zero."""
+    u = lambda g: haar_unitary(1 << g, rng)  # noqa: E731
+    gates = [LocalGate(pos, u(len(pos))) for pos in
+             ((0,), (1, 2), (5,), (4, 5), (1,), (7,), (7, 6, 5), (0, 7), (2, 7, 4))]
+    gates.append(ControlledGate(((7, 1),), 3, u(1)))
+    gates.append(ControlledGate(((0, 0), (5, 1)), 6, u(1)))
+    gates += [ControlledGate(((2, b & 1), (4, b >> 1)), 6, u(1)) for b in range(4)]
+    gates += [ControlledGate(tuple((q, (b >> q) & 1) for q in range(4)), 5, u(1)) for b in range(16)]
+    gates += [ControlledGate((), 4, u(1)), PhaseOnZero(0.7)]
+    return gates
+
+
+def test_apply_matches_dense_oracle(monkeypatch):
     rng = np.random.default_rng(11)
     c = random_circuit(3, 3, rng)
     s = random_state(3, rng)
@@ -150,6 +195,17 @@ def test_apply_matches_dense_oracle():
     for gate in c.gates:
         dense = embed_gate(gate, 3) @ dense
     assert np.allclose(apply_circuit(c, s).amps, dense @ s.amps, atol=1e-12)
+    # Blocks of 2**8 and 2**12 amplitudes through a scratch of 64.
+    n = 8
+    c = Circuit(n, tuple(_chunked_gates(n, rng)))
+    want = np.eye(1 << n, dtype=complex)
+    for gate in c.gates:
+        want = gate_oracle(gate, n) @ want
+    s = random_state(n, rng)
+    inputs = rng.choice(1 << n, size=16, replace=False)
+    with small_scratch(monkeypatch):
+        assert np.abs(apply_circuit(c, s).amps - want @ s.amps).max() <= 1e-12
+        assert np.abs(basis_columns(c, inputs) - want[:, inputs]).max() <= 1e-12
 
 
 def test_apply_vs_matrix_random_pairs():
@@ -199,26 +255,48 @@ def test_apply_leaves_input_state_unchanged():
 
 
 def test_apply_peak_memory_and_result_layout():
-    # The input copy and one spare buffer, plus at most a quarter of a state
-    # of slab temporaries for a gate on non-adjacent qubits.
+    # Every gate updates the input copy in place through one scratch, a
+    # quarter of a state at n=16; the gates' matrices and the widened
+    # kron matrix stay within the slack.
     rng = np.random.default_rng(14)
     n = 16
     s = random_state(n, rng)
     before = s.amps.copy()
+    bound = s.amps.nbytes + 16 * _scratch_amps(1 << n) + (64 << 10)
     for gates in (
         (LocalGate((3, 4), haar_unitary(4, rng)), LocalGate((15, 14, 13), haar_unitary(8, rng))),
         (LocalGate((15, 0), haar_unitary(4, rng)), LocalGate((0, 8, 15), haar_unitary(8, rng))),
         (ControlledGate((), 5, X), ControlledGate((), 0, haar_unitary(2, rng))),
     ):
-        tracemalloc.start()
-        try:
-            out = apply_circuit(Circuit(n, gates), s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * s.amps.nbytes
+        out, peak = traced_peak(lambda: apply_circuit(Circuit(n, gates), s))
+        assert peak <= bound
         assert out.amps.flags.c_contiguous and not out.amps.flags.writeable
         assert np.array_equal(s.amps, before)
+
+
+def test_kernel_peak_memory_is_block_plus_scratch():
+    # A dense matrix at n=8 holds the matrix and one scratch, a quarter of
+    # a matrix; a mixed circuit at n=20 holds the input copy, one scratch
+    # of a 32nd of a state, and for its run step half a scratch of
+    # gathered pairs.
+    rng = np.random.default_rng(16)
+    n = 8
+    c = random_circuit(n, 30, rng)
+    _, peak = traced_peak(lambda: circuit_to_matrix(c))
+    assert peak <= (16 << 2 * n) + 16 * _scratch_amps(1 << 2 * n) + (64 << 10)
+    n = 20
+    u = lambda g: haar_unitary(1 << g, rng)  # noqa: E731
+    c = Circuit(n, (
+        LocalGate((0, 1), u(2)), LocalGate((9,), u(1)), LocalGate((19, 18, 17), u(3)),
+        LocalGate((3, 12, 19), u(3)), ControlledGate(((19, 1),), 4, u(1)),
+        ControlledGate(((2, 0), (11, 1)), 7, u(1)),
+        *(ControlledGate(((5, b & 1), (6, b >> 1)), 15, u(1)) for b in range(4)),
+        ControlledGate((), 10, u(1)), PhaseOnZero(0.4),
+    ))
+    s = random_state(n, rng)
+    out, peak = traced_peak(lambda: apply_circuit(c, s))
+    assert peak <= s.amps.nbytes + 24 * _scratch_amps(1 << n) + (64 << 10)
+    assert np.linalg.norm(apply_circuit(circuit_dagger(c), out).amps - s.amps) <= 1e-12
 
 
 def _controlled_wires(n, c, placement, rng):
@@ -239,11 +317,14 @@ def _controlled_wires(n, c, placement, rng):
     return target, [int(q) for pair in zip(above, below) for q in pair] + [int(q) for q in above[len(below):]]
 
 
-def test_lone_controlled_gates_in_place_match_oracle():
+def test_lone_controlled_gates_in_place_match_oracle(monkeypatch):
     # A controlled gate that runs alone is its matrix as a local gate on the
-    # view its controls select, updated in place slab by slab. Blocks of 0
-    # to 256 columns cut that view in one, two, four or eight slabs. (The
-    # dense oracle of 5 or 6 controls at n=10 would take seconds.)
+    # view its controls select, updated in place: slab by slab, or in
+    # chunks of a contiguous view when the controls are the top qubits.
+    # Blocks of 0 to 256 columns cut the view in up to eight slabs; with a
+    # SMALL_SCRATCH scratch, 1 and 16 columns cut it in up to 256 slabs or
+    # chunks. (The dense oracle of 5 or 6 controls at n=10 would take
+    # seconds.)
     rng = np.random.default_rng(41)
     for n, most in ((8, 6), (10, 4)):
         for c in range(1, most + 1):
@@ -256,11 +337,18 @@ def test_lone_controlled_gates_in_place_match_oracle():
                     inputs = rng.choice(1 << n, size=cols, replace=False)
                     got = basis_columns(Circuit(n, (gate,)), inputs)
                     assert np.abs(got - want[:, inputs]).max(initial=0.0) <= 1e-12
+                with small_scratch(monkeypatch):
+                    for cols in (1, 16):
+                        inputs = rng.choice(1 << n, size=cols, replace=False)
+                        got = basis_columns(Circuit(n, (gate,)), inputs)
+                        assert np.abs(got - want[:, inputs]).max() <= 1e-12
 
 
-def test_non_adjacent_gates_in_slabs_match_oracle():
+def test_non_adjacent_gates_in_slabs_match_oracle(monkeypatch):
     # Blocks of 2**14 and 2**16 amplitudes, contracted in two and in eight
     # slabs, with gate qubits among the leading axes the slabs are cut from.
+    # With a SMALL_SCRATCH scratch, 1 column is cut in 32 slabs, and 16
+    # columns in 512, each a range of two to four columns.
     rng = np.random.default_rng(15)
     n = 10
     c = Circuit(n, tuple(
@@ -272,12 +360,21 @@ def test_non_adjacent_gates_in_slabs_match_oracle():
     for cols in (16, 64):
         inputs = rng.choice(1 << n, size=cols, replace=False)
         assert np.allclose(basis_columns(c, inputs), want[:, inputs], atol=1e-12)
+    with small_scratch(monkeypatch):
+        for cols in (1, 16):
+            inputs = rng.choice(1 << n, size=cols, replace=False)
+            assert np.abs(basis_columns(c, inputs) - want[:, inputs]).max() <= 1e-12
     # Wide gates on a block of 2**16 amplitudes that leave two untouched
-    # qubits, or one, to cut slabs from.
+    # qubits, or one, to cut slabs from; their slabs are cut in two and in
+    # four column ranges as well. A SMALL_SCRATCH scratch is less than
+    # twice their dimension, so they bring a scratch of their own.
     n = 8
     for pos in ((0, 1, 2, 3, 4, 6), (7, 0, 1, 2, 3, 4, 5)):
         gate = LocalGate(pos, haar_unitary(1 << len(pos), rng))
-        assert np.allclose(circuit_to_matrix(Circuit(n, (gate,))), gate_oracle(gate, n), atol=1e-12)
+        want = gate_oracle(gate, n)
+        assert np.allclose(circuit_to_matrix(Circuit(n, (gate,))), want, atol=1e-12)
+        with small_scratch(monkeypatch):
+            assert np.abs(basis_columns(Circuit(n, (gate,)), [0, 77, 255]) - want[:, [0, 77, 255]]).max() <= 1e-12
 
 
 def test_basis_columns_match_matrix_columns():
