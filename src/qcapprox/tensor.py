@@ -433,7 +433,8 @@ def _apply_local(src: np.ndarray, n: int, positions, m: np.ndarray, scratch: np.
     # Within a slab: the gate axes first, in m's bit order, then the rest.
     perm = gate_axes + [a for a in range(n + 1) if a not in gate_axes]
     half = scratch.size >> 1
-    for index in _slabs(src.shape, gate_axes, half):
+    # A src within half a scratch, as in every block up to 2**13 amplitudes, is one slab.
+    for index in ((),) if src.size <= half else _slabs(src.shape, gate_axes, half):
         slab = src[index].transpose(perm)
         gathered = scratch[:slab.size].reshape(d, -1)
         gathered.reshape(slab.shape)[...] = slab
@@ -494,9 +495,14 @@ def _apply_step(t: np.ndarray, n: int, gates: list, polarities, scratch: np.ndar
     """
     c = len(gates[0].controls)
     front = [n - 1 - q for q, _ in gates[0].controls] + [n - 1 - gates[0].target]
-    view = np.moveaxis(t, front, range(c + 1))
+    view = t.transpose(front + [a for a in range(n + 1) if a not in front])
     stack = np.concatenate([gate.matrix for gate in gates]).reshape(-1, 2, 2)
-    half = scratch.size >> 1
+    half, size = scratch.size >> 1, len(gates) * (view.size >> c)
+    if size <= half:  # one piece, as in every block up to 2**13 amplitudes
+        pairs = tuple(polarities.T)
+        out = scratch[:size].reshape(stack.shape[:1] + view.shape[c:])
+        view[pairs] = np.einsum("gij,gj...->gi...", stack, view[pairs], out=out)
+        return
     for index in _slabs(view.shape[c:], (0,), half):
         sub = view[(slice(None),) * c + index]
         per = sub.size >> c  # one gate's amplitude pairs in this slab
