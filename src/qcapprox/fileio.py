@@ -310,6 +310,8 @@ def parse_problem(text: str):
             val = int(toks[1], 2)
         except ValueError as exc:
             raise ParseError(f"bad binary pattern in {line!r}") from exc
+        if b in table:
+            raise ParseError(f"input {toks[0]} repeated in {line!r}")
         table[b] = val
     if kind == "decision":
         return DecisionProblem(n, table)

@@ -88,15 +88,18 @@ class MetricKind:
             raise DomainError(f"metric {self.tag} needs l")
 
     def between_matrices(self, a, b) -> float:
-        if self.tag == "frobenius":
-            return frobenius_norm(np.asarray(a) - np.asarray(b))
-        if self.tag == "two":
-            return two_norm(np.asarray(a) - np.asarray(b))
-        if self.tag == "weak2":
-            return weak_two_norm(np.asarray(a) - np.asarray(b), self.k)
+        if self.tag == "tv-states":
+            raise DomainError(f"metric {self.tag} compares states, not matrices")
+        a, b = np.asarray(a), np.asarray(b)
+        if a.shape != b.shape:
+            raise DomainError(f"need matrices of equal shape, got {a.shape} and {b.shape}")
         if self.tag == "tv-ops":
             return tv_operators(a, b, self.l, self.k)
-        raise DomainError(f"metric {self.tag} compares states, not matrices")
+        if self.tag == "frobenius":
+            return frobenius_norm(a - b)
+        if self.tag == "two":
+            return two_norm(a - b)
+        return weak_two_norm(a - b, self.k)
 
     def between_states(self, u: StateVec, v: StateVec) -> float:
         if self.tag != "tv-states":

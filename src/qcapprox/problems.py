@@ -81,8 +81,9 @@ def _worst_case_prob(circuit: Circuit, problem: _Problem) -> float:
     p_star = 1.0
     for start in range(0, len(domain), per_block):
         inputs = domain[start:start + per_block]
-        out = basis_columns(circuit, inputs)
-        probs = (np.abs(out) ** 2).reshape(-1, 1 << problem.out_bits, len(inputs)).sum(axis=0)
+        parts = basis_columns(circuit, inputs).view(float)  # the block is ours: square it in place
+        sums = np.square(parts, out=parts).reshape(-1, 1 << problem.out_bits, 2 * len(inputs)).sum(axis=0)
+        probs = sums[:, ::2] + sums[:, 1::2]
         wanted = probs[[problem.f[b] for b in inputs], np.arange(len(inputs))]
         p_star = min(p_star, float(wanted.min()))
     return p_star

@@ -306,19 +306,18 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
 
     The block is viewed as a [2]*n + [B] tensor whose axis n-1-q is qubit
     q. Every gate updates it through one scratch buffer, allocated once per
-    call (see _scratch_amps):
-    - A run is a stretch of consecutive ControlledGates with at least one
-      control, the same target and the same control qubits in the same
-      order. Gates of a run with pairwise distinct polarity patterns act
-      on disjoint amplitude pairs, so they commute and are one step;
-      _apply_run cuts a run before each repeated pattern. A run of one is a
-      local gate on the strided view its controls select. Phase-on-zero
-      gates scale one entry.
-    - A local gate, or a controlled gate without controls, is _apply_local
-      on the whole tensor: one matmul per chunk on adjacent qubits, a
-      contraction slab by slab on other qubits.
-    Peak memory is the block and the scratch; a run step adds its gathered
-    amplitude pairs, at most half a scratch at a time.
+    call (see _scratch_amps), on one of two paths:
+    - A local gate, or a controlled gate without controls, on adjacent
+      qubits is _apply_local: one matmul per contiguous chunk.
+    - Every other gate is a strided _apply_step. A local gate on
+      non-adjacent qubits is one step. A run is a stretch of consecutive
+      ControlledGates with at least one control, the same target and the
+      same control qubits in the same order; _apply_run cuts it before each
+      repeated polarity pattern, and each piece is one step, a run of one
+      included.
+    Phase-on-zero gates scale one entry. Peak memory is the block and the
+    scratch; a step of several gates adds its gathered amplitude pairs, at
+    most half a scratch at a time.
     """
     if not block.shape[1]:
         return block
@@ -332,17 +331,23 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
             if gate.target == target and wires == qubits:
                 run.append(gate)
                 continue
-            _apply_run(t, n, run, scratch)
+            _apply_run(t, n, qubits, target, run, scratch)
             target, qubits, run = gate.target, wires, [gate]
             continue
-        _apply_run(t, n, run, scratch)
+        _apply_run(t, n, qubits, target, run, scratch)
         target, qubits, run = None, None, []
         if isinstance(gate, PhaseOnZero):
             t[(0,) * n] *= np.exp(1j * gate.w)
             continue
         positions = gate.positions if isinstance(gate, LocalGate) else (gate.target,)
-        _apply_local(t, n, positions, gate.matrix, scratch)
-    _apply_run(t, n, run, scratch)
+        g = len(positions)
+        # A gate on 14 or more qubits brings a scratch of its own; its matrix is far larger.
+        work = scratch if scratch.size >= 2 << g else np.empty(2 << g, dtype=complex)
+        if max(positions) - min(positions) < g:
+            _apply_local(t, n, positions, gate.matrix, work)
+        else:
+            _apply_step(t, n, (), positions, gate.matrix[None], np.empty((1, 0), int), work)
+    _apply_run(t, n, qubits, target, run, scratch)
     return block
 
 
@@ -391,123 +396,111 @@ def _slabs(shape, keep, limit: int):
             yield tuple(index)
 
 
-def _apply_local(src: np.ndarray, n: int, positions, m: np.ndarray, scratch: np.ndarray) -> None:
-    """Apply the local gate `m` on `positions` in place to the [2]*n + [B]
-    tensor src, which may be a strided view of a larger state.
+def _apply_local(t: np.ndarray, n: int, positions, m: np.ndarray, scratch: np.ndarray) -> None:
+    """Apply the local gate `m` on adjacent qubits p..p+g-1, in any order,
+    in place to the C-contiguous [2]*n + [B] tensor t.
 
-    On a C-contiguous src, a gate on adjacent qubits runs its matmul over
-    scratch-sized chunks of the (X, d, Y) view: rows of X, or column
-    ranges of Y when one row is larger than the scratch, as for gates on
-    the top qubits. Each chunk is written into the scratch and copied back.
-    Otherwise the gate is contracted slab by slab: each slab is gathered
-    into one half of the scratch with the gate axes first, multiplied into
-    the other half and copied back, where a matmul over a strided view would
-    have numpy copy the whole operand.
+    The matmul runs over scratch-sized chunks of the (X, d, Y) view: rows
+    of X, or column ranges of Y when one row is larger than the scratch, as
+    for gates on the top qubits. Each chunk is written into the scratch and
+    copied back.
     """
     g, d = len(positions), 1 << len(positions)
-    if scratch.size < 2 * d:  # a gate on 14 or more qubits; its own matrix is far larger
-        scratch = np.empty(2 * d, dtype=complex)
-    # Local bit g-1-k of m's rows and columns is state axis gate_axes[k].
+    # Local bit g-1-k of m's rows and columns is state axis gate_axes[k];
+    # renumber the bits in the state's order: local bit i on qubit p + i.
     gate_axes = [n - 1 - q for q in reversed(positions)]
+    order = sorted(range(g), key=gate_axes.__getitem__)
+    m = m.reshape([2] * (2 * g)).transpose(order + [g + k for k in order]).reshape(d, d)
     p = min(positions)
-    if max(positions) - p == g - 1 and src.flags.c_contiguous:
-        # Renumber the matrix's bits in the state's order: local bit i on qubit p + i.
-        order = sorted(range(g), key=gate_axes.__getitem__)
-        m = m.reshape([2] * (2 * g)).transpose(order + [g + k for k in order]).reshape(d, d)
-        x, y = 1 << (n - p - g), src.shape[-1] << p
-        widened = d * y <= _WIDEN_MAX
-        if widened:
-            w = (m[:, None, :, None] * np.eye(y)[:, None]).reshape(d * y, d * y).T  # kron(m, I_y).T
-        v = src.reshape(x, d, y)
-        rows, width = max(1, scratch.size // (d * y)), min(y, scratch.size // d)
-        for x0 in range(0, x, rows):
-            for y0 in range(0, y, width):
-                part = v[x0:x0 + rows, :, y0:y0 + width]
-                out = scratch[:part.size].reshape(part.shape)
-                if widened:
-                    np.matmul(part.reshape(-1, d * y), w, out=out.reshape(-1, d * y))
-                else:
-                    np.matmul(m, part, out=out)
-                part[...] = out
-        return
-    # Within a slab: the gate axes first, in m's bit order, then the rest.
-    perm = gate_axes + [a for a in range(n + 1) if a not in gate_axes]
-    half = scratch.size >> 1
-    # A src within half a scratch, as in every block up to 2**13 amplitudes, is one slab.
-    for index in ((),) if src.size <= half else _slabs(src.shape, gate_axes, half):
-        slab = src[index].transpose(perm)
-        gathered = scratch[:slab.size].reshape(d, -1)
-        gathered.reshape(slab.shape)[...] = slab
-        out = scratch[half:half + slab.size].reshape(d, -1)
-        np.matmul(m, gathered, out=out)
-        slab[...] = out.reshape(slab.shape)
+    x, y = 1 << (n - p - g), t.shape[-1] << p
+    widened = d * y <= _WIDEN_MAX
+    if widened:
+        w = (m[:, None, :, None] * np.eye(y)[:, None]).reshape(d * y, d * y).T  # kron(m, I_y).T
+    v = t.reshape(x, d, y)
+    rows, width = max(1, scratch.size // (d * y)), min(y, scratch.size // d)
+    for x0 in range(0, x, rows):
+        for y0 in range(0, y, width):
+            part = v[x0:x0 + rows, :, y0:y0 + width]
+            out = scratch[:part.size].reshape(part.shape)
+            if widened:
+                np.matmul(part.reshape(-1, d * y), w, out=out.reshape(-1, d * y))
+            else:
+                np.matmul(m, part, out=out)
+            part[...] = out
 
 
-def _apply_run(t: np.ndarray, n: int, run: list, scratch: np.ndarray) -> None:
-    """Apply consecutive ControlledGates with one target and one sequence of
-    control qubits to the state tensor t in place.
+def _apply_run(t: np.ndarray, n: int, controls, target: int, run: list, scratch: np.ndarray) -> None:
+    """Apply consecutive ControlledGates on `target` with the control qubits
+    `controls`, in that order, to the state tensor t in place.
 
-    Gates with pairwise distinct polarity patterns act on disjoint amplitude
+    The matrices form one (G, 2, 2) stack and the polarities one (G, c)
+    array. Gates with pairwise distinct patterns act on disjoint amplitude
     pairs, so they commute: the run is cut before each gate whose pattern
-    repeats one since the last cut, and each piece is one step. The
-    patterns are read from the controls tuples in one fromiter pass and
-    compared as integers after one stable sort.
-
-    A run of one is its matrix as a local gate on the view its controls
-    select: integer indices drop the control axes, and the target is
-    renumbered among the n - c qubits left.
+    repeats one since the last cut (found by one stable sort of the
+    patterns as integers), and each piece is one _apply_step. In
+    synthesized circuits cuts come up where a phase factor's last
+    preparation level meets the next factor's first inverse level on the
+    same target and controls: 12 runs per benchmark pass in synth, and 2
+    to 4 in cli and simulate with their random circuits. Each would
+    otherwise take one step per gate.
     """
-    if len(run) < 2:
-        for gate in run:
-            index = [slice(None)] * (n + 1)
-            for q, pol in gate.controls:
-                index[n - 1 - q] = pol
-            below = sum(q < gate.target for q in map(_QUBIT, gate.controls))
-            _apply_local(t[tuple(index)], n - len(gate.controls), (gate.target - below,), gate.matrix, scratch)
+    if not run:
         return
     g, c = len(run), len(run[0].controls)
     flat = chain.from_iterable([gate.controls for gate in run])
     polarities = np.fromiter(map(_POLARITY, flat), np.intp, count=g * c).reshape(g, c)
-    patterns = polarities @ (1 << np.arange(c))
-    order = np.argsort(patterns, kind="stable")
-    same = patterns[order[1:]] == patterns[order[:-1]]
-    previous = np.full(g, -1)  # the last earlier gate with the same pattern
-    previous[order[1:][same]] = order[:-1][same]
+    stack = np.concatenate([gate.matrix for gate in run]).reshape(-1, 2, 2)
     cuts = [0]
-    for i in np.flatnonzero(previous >= 0).tolist():
-        if previous[i] >= cuts[-1]:
-            cuts.append(i)
+    if g > 1:
+        patterns = polarities @ (1 << np.arange(c))
+        order = np.argsort(patterns, kind="stable")
+        same = patterns[order[1:]] == patterns[order[:-1]]
+        previous = np.full(g, -1)  # the last earlier gate with the same pattern
+        previous[order[1:][same]] = order[:-1][same]
+        for i in np.flatnonzero(previous >= 0).tolist():
+            if previous[i] >= cuts[-1]:
+                cuts.append(i)
     cuts.append(g)
     for a, b in zip(cuts, cuts[1:]):
-        _apply_step(t, n, run[a:b], polarities[a:b], scratch)
+        _apply_step(t, n, controls, (target,), stack[a:b], polarities[a:b], scratch)
 
 
-def _apply_step(t: np.ndarray, n: int, gates: list, polarities, scratch: np.ndarray) -> None:
-    """Apply controlled gates on disjoint amplitude pairs (one target, one
-    sequence of control qubits, distinct patterns) to t in place.
+def _apply_step(t: np.ndarray, n: int, controls, positions, stack: np.ndarray, polarities,
+                scratch: np.ndarray) -> None:
+    """Apply gate i of the (G, d, d) stack on `positions` to the state
+    tensor t in place, wherever the qubits `controls` read row i of the
+    (G, c) array `polarities`. The rows are pairwise distinct, so the gates
+    act on disjoint amplitudes; several gates share one target qubit.
 
-    The control axes and the target axis move to the front. The amplitude
-    pairs are taken in pieces of at most half a scratch: slabs of the axes
-    behind the target, and within a slab groups of gates. A piece is
-    gathered with one advanced index (rows of `polarities`), its slice of
-    the (G, 2, 2) stack, one concatenate of the matrices, is applied in one
-    einsum into the scratch, and the result is scattered back.
+    The control axes, then the gate axes in the matrix's bit order, move to
+    the front. A single gate takes the view its polarities select with
+    integer indices. The work runs in pieces of at most half a scratch:
+    slabs of the axes behind the gate (_slabs), then groups of gates. One
+    gate's slab is gathered into one half of the scratch, multiplied into
+    the other half with one matmul and copied back. A group of gates is
+    gathered with one advanced index (rows of `polarities`), multiplied
+    with one einsum into the scratch and scattered back; the gathered copy
+    is freed before the scatter.
     """
-    c = len(gates[0].controls)
-    front = [n - 1 - q for q, _ in gates[0].controls] + [n - 1 - gates[0].target]
+    c, g, d = len(controls), len(positions), stack.shape[-1]
+    front = [n - 1 - q for q in controls] + [n - 1 - q for q in reversed(positions)]
     view = t.transpose(front + [a for a in range(n + 1) if a not in front])
-    stack = np.concatenate([gate.matrix for gate in gates]).reshape(-1, 2, 2)
-    half, size = scratch.size >> 1, len(gates) * (view.size >> c)
-    if size <= half:  # one piece, as in every block up to 2**13 amplitudes
-        pairs = tuple(polarities.T)
-        out = scratch[:size].reshape(stack.shape[:1] + view.shape[c:])
-        view[pairs] = np.einsum("gij,gj...->gi...", stack, view[pairs], out=out)
-        return
-    for index in _slabs(view.shape[c:], (0,), half):
-        sub = view[(slice(None),) * c + index]
+    if len(stack) == 1:
+        view, c = view[tuple(polarities[0].tolist())], 0
+    half, whole = scratch.size >> 1, (slice(None),) * c
+    # A gate within half a scratch, as in every block up to 2**13 amplitudes, is one slab.
+    for index in ((),) if view.size >> c <= half else _slabs(view.shape[c:], range(g), half):
+        sub = view[whole + index]
+        if not c:
+            gathered = scratch[:sub.size].reshape(sub.shape)
+            gathered[...] = sub
+            out = scratch[half:half + sub.size].reshape(d, -1)
+            np.matmul(stack[0], gathered.reshape(d, -1), out=out)
+            sub[...] = out.reshape(sub.shape)
+            continue
         per = sub.size >> c  # one gate's amplitude pairs in this slab
-        group = max(1, half // per)
-        for g0 in range(0, len(gates), group):
+        group = half // per
+        for g0 in range(0, len(stack), group):
             m = stack[g0:g0 + group]
             out = scratch[:len(m) * per].reshape(m.shape[:1] + sub.shape[c:])
             pairs = tuple(polarities[g0:g0 + group].T)

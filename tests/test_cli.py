@@ -249,6 +249,10 @@ def _circuit_file(tmp_path, name, *gate_lines):
 def test_exit_code_domain_error(tmp_path, capsys):
     nan_matrix = tmp_path / "nan.mat"
     nan_matrix.write_text("nan:0 0:0\n0:0 1:0\n")
+    one_qubit, two_qubit = tmp_path / "one.mat", tmp_path / "two.mat"
+    one_qubit.write_text(format_matrix(np.eye(2)))
+    two_qubit.write_text(format_matrix(np.eye(4)))
+    unequal = ["--a", str(one_qubit), "--b", str(two_qubit)]
     cascade = fileio.format_circuit(
         prepare_state(sample_haar_state(11, np.random.default_rng(5))).circuit).splitlines()
     cascade[2001] = " ".join(cascade[2001].split()[:3] + [DEFECT])  # gate line 2000
@@ -271,6 +275,10 @@ def test_exit_code_domain_error(tmp_path, capsys):
         ["dist", "--metric", "frobenius", "--a", str(nan_matrix), "--b", str(nan_matrix)],
         ["dist", "--metric", "weak2", "--a", str(nan_matrix), "--b", str(nan_matrix), "--k", "1"],
         ["dist", "--metric", "two", "--a", str(nan_matrix), "--b", str(nan_matrix)],
+        # matrices of different shapes, refused before they are subtracted
+        ["dist", "--metric", "frobenius", *unequal],
+        ["dist", "--metric", "two", *unequal],
+        ["dist", "--metric", "weak2", *unequal, "--k", "1"],
         # sweeps refused before any value is built
         thm51 + ["--q", "4", "--sweep", "b=2:1000000000000000000:1"],
         thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "eps=0.1:inf:0.1"],
@@ -314,10 +322,16 @@ def test_exit_code_parse_error(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in err
+    repeated = tmp_path / "repeated.qproblem"
+    repeated.write_text("qproblem v1\nn=2\nkind=decision\n00 0\n00 1\n")
+    identity = tmp_path / "id.qcircuit"
+    write_circuit(identity, Circuit(2, ()))
     for argv in (
         _circuit_file(tmp_path, "malformed_first", "warp 0", f"ctrl 0:1 1 {DEFECT}"),
         _circuit_file(tmp_path, "entry_before_polarity", "ctrl 0:2 1 1:0 0:0 0:0 x:0"),
         _circuit_file(tmp_path, "range_after_every_line", f"ctrl 0:1 2 {IDENTITY}", "warp 0"),
+        # an input listed twice: the last value would silently win
+        ["advantage", "--circuit", str(identity), "--problem", str(repeated)],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv

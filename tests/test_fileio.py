@@ -200,6 +200,8 @@ def test_problem_parse_errors():
         parse_problem("qproblem v1\nn=2\n00 1\n")  # kind line missing
     with pytest.raises(ParseError):
         parse_problem("qproblem v1\nn=2\nkind=decision\n02 1\n")
+    with pytest.raises(ParseError, match="repeated in '0 1'"):
+        parse_problem("qproblem v1\nn=2\nkind=decision\n00 0\n0 1\n")  # input 0 twice
 
 
 def test_path_wrappers(tmp_path):

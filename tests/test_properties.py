@@ -9,8 +9,10 @@ draws the same inputs.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qcapprox import tensor
 from qcapprox.fileio import (
     ParseError,
     format_circuit,
@@ -302,6 +304,13 @@ def test_run_gates_matches_oracle_product(data):
         want = gate_oracle(gate, n) @ want
     got = _run_gates(gate_list, n, block.copy())
     assert got.shape == block.shape and got.flags.c_contiguous
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12
+    # A 64-amplitude scratch cuts the same gates into slabs, column ranges
+    # and groups of gates; hypothesis rejects function-scoped fixtures, so
+    # the scratch size is patched here.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "_scratch_amps", lambda amps: 64)
+        got = _run_gates(gate_list, n, block.copy())
     assert np.abs(got - want).max(initial=0.0) <= 1e-12
 
 

@@ -169,9 +169,9 @@ def _chunked_gates(n, rng):
       64 each), and at B = 16 every other adjacent gate;
     - slabs gathered into the scratch, on qubits 0 and 7 and on 2, 7 and
       4 (8 / 128 each; at B = 16 every slab is also cut in column ranges);
-    - lone controlled gates: the contiguous view under a control on qubit
-      7 (2 / 32 chunks), the strided view under controls 0 and 5 (2 / 32
-      slabs);
+    - lone controlled gates, one-gate steps on the view their controls
+      select: under a control on qubit 7 (4 / 64 slabs), under controls 0
+      and 5 (2 / 32 slabs);
     - runs: 4 gates under controls 2 and 4, one gate per piece, and 16
       under controls 0-3, two gates per piece at B = 1 (8 / 128 pieces
       each);
@@ -318,12 +318,11 @@ def _controlled_wires(n, c, placement, rng):
 
 
 def test_lone_controlled_gates_in_place_match_oracle(monkeypatch):
-    # A controlled gate that runs alone is its matrix as a local gate on the
-    # view its controls select, updated in place: slab by slab, or in
-    # chunks of a contiguous view when the controls are the top qubits.
-    # Blocks of 0 to 256 columns cut the view in up to eight slabs; with a
-    # SMALL_SCRATCH scratch, 1 and 16 columns cut it in up to 256 slabs or
-    # chunks. (The dense oracle of 5 or 6 controls at n=10 would take
+    # A controlled gate that runs alone is a one-gate step on the view its
+    # controls select, updated in place slab by slab, wherever the controls
+    # sit. Blocks of 0 to 256 columns cut the view in up to eight slabs;
+    # with a SMALL_SCRATCH scratch, 1 and 16 columns cut it in up to 256
+    # slabs. (The dense oracle of 5 or 6 controls at n=10 would take
     # seconds.)
     rng = np.random.default_rng(41)
     for n, most in ((8, 6), (10, 4)):
