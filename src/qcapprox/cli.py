@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, bounds, fileio, metrics, nets, problems, synthesis
 from .fileio import ParseError
 from .measure import RngStream, mc_simplex_ball, mc_sphere_cap
-from .tensor import Circuit, DomainError, StateVec, apply_circuit, circuit_to_matrix
+from .tensor import Circuit, DomainError, PhaseOnZero, StateVec, apply_circuit, circuit_to_matrix
 
 
 def _fmt(x) -> str:
@@ -101,7 +101,7 @@ def _cmd_synth_unitary(args, out: _Out) -> None:
     seq = synthesis.OrthoSeq(states[0].n, tuple(states))
     report = synthesis.synthesize_transitive(seq)
     _emit_circuit(report.circuit, args.out)
-    phase_gates = sum(1 for g in report.circuit.gates if type(g).__name__ == "PhaseOnZero")
+    phase_gates = sum(1 for g in report.circuit.gates if isinstance(g, PhaseOnZero))
     out.row(
         ["n", "k", "primitive_count", "two_qubit_equiv", "residual", "phase_gates"],
         [seq.n, seq.k, report.primitive_count, report.two_qubit_equiv, report.residual, phase_gates],

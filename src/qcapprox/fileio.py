@@ -36,6 +36,7 @@ STATE_MAGIC = "qstate v1"
 CIRCUIT_MAGIC = "qcircuit v1"
 # Control field of a ctrl line with no controls.
 NO_CONTROLS = "-"
+_NO_FIELD = ((), (), 0)  # its controls, wires and pattern
 PROBLEM_MAGIC = "qproblem v1"
 
 # One complex entry, written as re:im.
@@ -179,9 +180,32 @@ def _parse_control(token: str) -> tuple[int, int]:
         raise ParseError(f"bad control token {token!r}") from exc
 
 
-def _parse_line(line: str, pairs: _Memo, ctrl_values: list[float]):
-    """The gate of one line, or (controls, target) of a ctrl line, whose
-    entries are appended to ctrl_values once its other checks passed."""
+class _ControlFields(dict):
+    """(controls, wires, pattern) of each control field of one file, read
+    once. A field is the field before its last comma plus one q:p token, so
+    the fields of a cascade, which extend their parents' by one pair each,
+    cost one token each. Each q:p token is parsed once and its pair shared,
+    and so is one wires tuple per control-qubit sequence."""
+
+    def __init__(self):
+        super().__init__()
+        self.pairs = _Memo(_parse_control)
+        self.sequences: dict = {}
+
+    def __missing__(self, text):
+        head, comma, token = text.rpartition(",")
+        controls, wires, pattern = self[head] if comma else _NO_FIELD
+        q, p = pair = self.pairs[token]
+        wires += (q,)
+        field = self[text] = (controls + (pair,), self.sequences.setdefault(wires, wires),
+                              pattern | p << len(controls))
+        return field
+
+
+def _parse_line(line: str, fields: _ControlFields, ctrl_values: list[float]):
+    """The gate of one line, or ((controls, wires, pattern), target) of a
+    ctrl line, whose entries are appended to ctrl_values once its other
+    checks passed; `fields` reads a control field."""
     toks = line.split()
     kind = toks[0]
     if kind == "ctrl":
@@ -191,15 +215,15 @@ def _parse_line(line: str, pairs: _Memo, ctrl_values: list[float]):
             toks.insert(1, NO_CONTROLS)
         if len(toks) != 7:
             raise ParseError(f"bad ctrl gate line {line!r}")
-        controls = () if toks[1] == NO_CONTROLS else tuple(map(pairs.__getitem__, toks[1].split(",")))
+        field = _NO_FIELD if toks[1] == NO_CONTROLS else fields[toks[1]]
         try:
             target = int(toks[2])
         except ValueError as exc:
             raise ParseError(f"bad target in {line!r}") from exc
         values = _entry_values(toks[3:])
-        _check_controls(controls, target)
+        _check_controls(field[0], target)
         ctrl_values += values
-        return controls, target
+        return field, target
     if kind == "local":
         if len(toks) < 3:
             raise ParseError(f"bad local gate line {line!r}")
@@ -237,20 +261,21 @@ def parse_circuit(text: str) -> Circuit:
     for the lines above the first line that fails, so that the first bad
     line decides the error as a line-by-line read would."""
     n, body = _split_lines(text, CIRCUIT_MAGIC)
-    pairs = _Memo(_parse_control)  # each q:p token parsed once, its pair shared
+    fields = _ControlFields()
     values: list[float] = []
     specs = []
     for line in body:
         try:
-            specs.append(_parse_line(line, pairs, values))
+            specs.append(_parse_line(line, fields, values))
         except (ParseError, DomainError):
             _ctrl_stack(values)  # a non-unitary gate above this line comes first
             raise
-    ctrl = [s for s in specs if type(s) is tuple]  # (controls, target) per ctrl line
+    ctrl = [s for s in specs if type(s) is tuple]  # (control field, target) per ctrl line
     targets = [t for _, t in ctrl]
-    made = iter(_controlled_gates([c for c, _ in ctrl], targets, _ctrl_stack(values)))
+    made = iter(_controlled_gates([c for (c, _, _), _ in ctrl], [w for (_, w, _), _ in ctrl],
+                                  [b for (_, _, b), _ in ctrl], targets, _ctrl_stack(values)))
     gates = tuple(next(made) if type(s) is tuple else s for s in specs)
-    wires = [q for q, _ in pairs.values()] + targets
+    wires = [q for q, _ in fields.pairs.values()] + targets
     wires += [max(s.positions) for s in specs if isinstance(s, LocalGate)]
     if max(wires, default=0) >= n:
         return Circuit(n, gates)  # raises the range error of the first such gate

@@ -5,10 +5,12 @@ cascade of fully conditioned single-qubit rotations. Level l of the cascade
 rotates qubit l-1 once for each pattern of qubits 0..l-2 (a uniformly
 controlled rotation, Mottonen et al. 2004, quant-ph/0407010); the cascade
 is built one level at a time, with O(1) numpy calls per level. The Python
-work left is about 2 us per emitted gate (n = 12 to 16, one thread): one
-control tuple, extended from its parent branch's, and one gate object,
-made without re-checking what the construction guarantees. Inverting a
-preparation and applying it cost about 1.5-2 and 2.5-3 us per gate more.
+work left is about 1.5-2.8 us per emitted gate (n = 12 to 16, one thread,
+a shared host): one control tuple, extended from its parent branch's, and
+one gate object, which takes the level's control-qubit tuple as its wires
+and its branch index as its polarity pattern, made without re-checking
+what the construction guarantees. Inverting a preparation and applying it
+cost about 1.3-2.4 and 0.7-0.9 us per gate more.
 synthesize_transitive realizes any wanted action on the first k basis
 states by extending it to a unitary with at least 2**n - k unit
 eigenvalues and expanding the rest into conjugated phase-on-zero factors.
@@ -96,6 +98,8 @@ def _prepare_gates(amps: np.ndarray, n: int) -> list:
     that of its parent b mod 2**(l-2) at level l-1 plus (l-2, bit l-2 of
     b), and it is made only for branches that pass BRANCH_TOL. A passing
     branch's parent passes too, since its weight is at least the branch's.
+    Its control qubits are 0..l-2, one tuple for the level, and its
+    polarity pattern is b itself.
     """
     levels = [np.asarray(amps, dtype=complex)]
     for _ in range(n):
@@ -119,8 +123,9 @@ def _prepare_gates(amps: np.ndarray, n: int) -> list:
         # Gates share their (qubit, polarity) pairs: fewer objects to collect.
         pair, low = ((l - 2, 0), (l - 2, 1)), (1 << (l - 2)) - 1
         controls = {b: controls[b & low] + (pair[b >> (l - 2)],) for b in branches.tolist()}
-        kept = map(controls.__getitem__, branches[keep].tolist())
-        gates.extend(_controlled_gates(kept, repeat(l - 1), lifts))
+        kept = branches[keep].tolist()
+        gates.extend(_controlled_gates(map(controls.__getitem__, kept), repeat(tuple(range(l - 1))),
+                                       kept, repeat(l - 1), lifts))
     return gates
 
 

@@ -8,9 +8,9 @@ bit, so the first l bits of b are b % 2**l.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from math import prod
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Union
 
 import numpy as np
@@ -125,6 +125,7 @@ class Distribution:
 
 
 _QUBIT, _POLARITY = itemgetter(0), itemgetter(1)
+_PATTERN = attrgetter("pattern")
 
 
 def _check_controls(controls: tuple, target: int) -> None:
@@ -187,12 +188,17 @@ class ControlledGate:
     """Single-qubit unitary applied to `target` when every control matches.
 
     controls is a tuple of (qubit, polarity) pairs; polarity 1 fires on the
-    control bit being 1, polarity 0 on it being 0.
+    control bit being 1, polarity 0 on it being 0. Two fields are derived
+    from it, for the kernel: `wires`, the control qubits in order, and
+    `pattern`, the polarities as an int whose bit j is that of controls[j].
+    Gates built together share one `wires` tuple per control-qubit sequence.
     """
 
     controls: tuple[tuple[int, int], ...]
     target: int
     matrix: np.ndarray
+    wires: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    pattern: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ctrls = tuple([(int(q), int(p)) for q, p in self.controls])
@@ -205,19 +211,24 @@ class ControlledGate:
         object.__setattr__(self, "controls", ctrls)
         object.__setattr__(self, "target", int(self.target))
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "wires", tuple(map(_QUBIT, ctrls)))
+        object.__setattr__(self, "pattern", sum([p << j for j, (_, p) in enumerate(ctrls)]))
 
 
-def _controlled_gates(controls, targets, matrices) -> list:
-    """ControlledGates from parallel iterables of control tuples, targets and
-    read-only 2x2 matrices that are already validated: no __post_init__, and
-    none of _trusted's keyword handling, which costs as much again per gate."""
+def _controlled_gates(controls, wires, patterns, targets, matrices) -> list:
+    """ControlledGates from parallel iterables of control tuples, their
+    wires and patterns, targets and read-only 2x2 matrices that are already
+    validated: no __post_init__, and none of _trusted's keyword handling,
+    which costs as much again per gate."""
     new, put = object.__new__, object.__setattr__
     gates = []
-    for c, t, m in zip(controls, targets, matrices):
+    for c, w, b, t, m in zip(controls, wires, patterns, targets, matrices):
         gate = new(ControlledGate)
         put(gate, "controls", c)
         put(gate, "target", t)
         put(gate, "matrix", m)
+        put(gate, "wires", w)
+        put(gate, "pattern", b)
         gates.append(gate)
     return gates
 
@@ -243,7 +254,7 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
     if isinstance(gate, LocalGate):
         return gate.positions
     if isinstance(gate, ControlledGate):
-        return tuple(q for q, _ in gate.controls) + (gate.target,)
+        return gate.wires + (gate.target,)
     if isinstance(gate, PhaseOnZero):
         return ()
     raise DomainError(f"unknown gate type {type(gate).__name__}")
@@ -325,9 +336,8 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
     scratch = np.empty(_scratch_amps(block.size), dtype=complex)
     target, qubits, run = None, None, []  # the run's target, control qubits and gates
     for gate in gates:
-        controls = gate.controls if isinstance(gate, ControlledGate) else None
-        if controls:
-            wires = tuple(map(_QUBIT, controls))
+        wires = gate.wires if isinstance(gate, ControlledGate) else None
+        if wires:
             if gate.target == target and wires == qubits:
                 run.append(gate)
                 continue
@@ -346,7 +356,7 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
         if max(positions) - min(positions) < g:
             _apply_local(t, n, positions, gate.matrix, work)
         else:
-            _apply_step(t, n, (), positions, gate.matrix[None], np.empty((1, 0), int), work)
+            _apply_step(t, n, (), positions, gate.matrix[None], [()], work)
     _apply_run(t, n, qubits, target, run, scratch)
     return block
 
@@ -433,33 +443,37 @@ def _apply_run(t: np.ndarray, n: int, controls, target: int, run: list, scratch:
     """Apply consecutive ControlledGates on `target` with the control qubits
     `controls`, in that order, to the state tensor t in place.
 
-    The matrices form one (G, 2, 2) stack and the polarities one (G, c)
-    array. Gates with pairwise distinct patterns act on disjoint amplitude
-    pairs, so they commute: the run is cut before each gate whose pattern
-    repeats one since the last cut (found by one stable sort of the
-    patterns as integers), and each piece is one _apply_step. In
-    synthesized circuits cuts come up where a phase factor's last
-    preparation level meets the next factor's first inverse level on the
-    same target and controls: 12 runs per benchmark pass in synth, and 2
-    to 4 in cli and simulate with their random circuits. Each would
-    otherwise take one step per gate.
+    The gates' `pattern` ints give the (G, c) polarity rows by bit shifts,
+    one np.fromiter for the run, and the matrices one (G, 2, 2) stack. A
+    lone gate's row is the bits of its pattern and its stack matrix[None].
+    Gates with pairwise distinct patterns act on disjoint amplitude pairs,
+    so they commute: the run is cut before each gate whose pattern repeats
+    one since the last cut (found by one stable sort of the patterns), and
+    each piece is one _apply_step. In synthesized circuits cuts come up
+    where a phase factor's last preparation level meets the next factor's
+    first inverse level on the same target and controls: 12 runs per
+    benchmark pass in synth, and 2 to 4 in cli and simulate with their
+    random circuits. Each would otherwise take one step per gate.
     """
     if not run:
         return
-    g, c = len(run), len(run[0].controls)
-    flat = chain.from_iterable([gate.controls for gate in run])
-    polarities = np.fromiter(map(_POLARITY, flat), np.intp, count=g * c).reshape(g, c)
+    if len(run) == 1:
+        b = run[0].pattern
+        row = [(b >> j) & 1 for j in range(len(controls))]
+        _apply_step(t, n, controls, (target,), run[0].matrix[None], [row], scratch)
+        return
+    g = len(run)
+    patterns = np.fromiter(map(_PATTERN, run), np.intp, count=g)
+    polarities = (patterns[:, None] >> np.arange(len(controls))) & 1
     stack = np.concatenate([gate.matrix for gate in run]).reshape(-1, 2, 2)
+    order = np.argsort(patterns, kind="stable")
+    same = patterns[order[1:]] == patterns[order[:-1]]
+    previous = np.full(g, -1)  # the last earlier gate with the same pattern
+    previous[order[1:][same]] = order[:-1][same]
     cuts = [0]
-    if g > 1:
-        patterns = polarities @ (1 << np.arange(c))
-        order = np.argsort(patterns, kind="stable")
-        same = patterns[order[1:]] == patterns[order[:-1]]
-        previous = np.full(g, -1)  # the last earlier gate with the same pattern
-        previous[order[1:][same]] = order[:-1][same]
-        for i in np.flatnonzero(previous >= 0).tolist():
-            if previous[i] >= cuts[-1]:
-                cuts.append(i)
+    for i in np.flatnonzero(previous >= 0).tolist():
+        if previous[i] >= cuts[-1]:
+            cuts.append(i)
     cuts.append(g)
     for a, b in zip(cuts, cuts[1:]):
         _apply_step(t, n, controls, (target,), stack[a:b], polarities[a:b], scratch)
@@ -469,8 +483,9 @@ def _apply_step(t: np.ndarray, n: int, controls, positions, stack: np.ndarray, p
                 scratch: np.ndarray) -> None:
     """Apply gate i of the (G, d, d) stack on `positions` to the state
     tensor t in place, wherever the qubits `controls` read row i of the
-    (G, c) array `polarities`. The rows are pairwise distinct, so the gates
-    act on disjoint amplitudes; several gates share one target qubit.
+    (G, c) array `polarities` (a list of one row will do for G = 1). The
+    rows are pairwise distinct, so the gates act on disjoint amplitudes;
+    several gates share one target qubit.
 
     The control axes, then the gate axes in the matrix's bit order, move to
     the front. A single gate takes the view its polarities select with
@@ -486,7 +501,7 @@ def _apply_step(t: np.ndarray, n: int, controls, positions, stack: np.ndarray, p
     front = [n - 1 - q for q in controls] + [n - 1 - q for q in reversed(positions)]
     view = t.transpose(front + [a for a in range(n + 1) if a not in front])
     if len(stack) == 1:
-        view, c = view[tuple(polarities[0].tolist())], 0
+        view, c = view[tuple(polarities[0])], 0
     half, whole = scratch.size >> 1, (slice(None),) * c
     # A gate within half a scratch, as in every block up to 2**13 amplitudes, is one slab.
     for index in ((),) if view.size >> c <= half else _slabs(view.shape[c:], range(g), half):
@@ -560,23 +575,44 @@ def circuit_dagger(circuit: Circuit) -> Circuit:
 
     The controlled gates are inverted together: their matrices are
     conjugate-transposed as one read-only (G, 2, 2) stack, and each inverse
-    gate keeps its source's controls tuple and takes a view of that stack.
+    gate keeps its source's controls, wires and pattern and takes a view of
+    that stack.
     """
     gates = circuit.gates[::-1]
     controlled = [g for g in gates if isinstance(g, ControlledGate)]
     stack = np.array([g.matrix for g in controlled]).reshape(-1, 2, 2)
     adjoints = np.conjugate(stack.swapaxes(1, 2), out=np.empty_like(stack))
     adjoints.flags.writeable = False
-    inverses = iter(_controlled_gates([g.controls for g in controlled],
-                                      [g.target for g in controlled], adjoints))
+    inverses = iter(_controlled_gates([g.controls for g in controlled], [g.wires for g in controlled],
+                                      [g.pattern for g in controlled], [g.target for g in controlled],
+                                      adjoints))
     gates = tuple(next(inverses) if isinstance(g, ControlledGate) else _dagger_gate(g) for g in gates)
     return _trusted(Circuit, n=circuit.n, gates=gates)
 
 
 def measure_prefix(state: StateVec, l: int) -> Distribution:
-    """Distribution of the first l bits (the low-order l bits of the index)."""
+    """Distribution of the first l bits (the low-order l bits of the index).
+
+    The squared magnitudes are summed over the high bits of the
+    (2**(n-l), 2**l) view in chunks, rows or column ranges of at most one
+    scratch (_scratch_amps) of amplitudes, so no temporary has the state's
+    length. Each chunk's squares go below the sums so far in one buffer and
+    are added to them row by row, as one reduction over the whole view adds
+    them.
+    """
     if not 1 <= l <= state.n:
         raise DomainError(f"prefix length {l} out of range [1, {state.n}]")
-    p = np.abs(state.amps) ** 2
-    probs = p.reshape(1 << (state.n - l), 1 << l).sum(axis=0)
+    v = state.amps.reshape(-1, 1 << l)
+    work = _scratch_amps(v.size)
+    rows, width = max(1, work >> l), min(v.shape[1], work)
+    squares = np.empty((rows + 1) * width)
+    probs = np.zeros(v.shape[1])
+    for c0 in range(0, v.shape[1], width):
+        for r0 in range(0, v.shape[0], rows):
+            part = v[r0:r0 + rows, c0:c0 + width]
+            buf = squares[:part.size + part.shape[1]].reshape(-1, part.shape[1])
+            buf[0] = probs[c0:c0 + width]
+            np.abs(part, out=buf[1:])
+            np.square(buf[1:], out=buf[1:])
+            np.add.reduce(buf, axis=0, out=probs[c0:c0 + width])
     return Distribution(l, probs)

@@ -144,7 +144,8 @@ def dagger_reference(circuit: Circuit) -> Circuit:
         if isinstance(gate, LocalGate):
             gates.append(_trusted(LocalGate, positions=gate.positions, matrix=m))
         else:
-            gates.append(_trusted(ControlledGate, controls=gate.controls, target=gate.target, matrix=m))
+            gates.append(_trusted(ControlledGate, controls=gate.controls, target=gate.target, matrix=m,
+                                  wires=gate.wires, pattern=gate.pattern))
     return Circuit(circuit.n, tuple(gates))
 
 

@@ -23,11 +23,11 @@ from qcapprox.fileio import (
     parse_problem,
     parse_state,
 )
-from qcapprox.measure import sample_haar_state
+from qcapprox.measure import sample_haar_state, sample_ortho_seq
 from qcapprox.metrics import frobenius_norm, tv_operators, tv_states, two_norm, weak_two_norm
 from qcapprox.nets import NetSpec, _axis_values, decode_index, encode_matrix
 from qcapprox.problems import DecisionProblem, GuessProblem
-from qcapprox.synthesis import prepare_state
+from qcapprox.synthesis import prepare_state, synthesize_transitive
 from qcapprox.tensor import (
     Circuit,
     ControlledGate,
@@ -150,7 +150,7 @@ def raw_circuits(draw):
                             matrix=draw(any_complex(*gate.matrix.shape)))
         elif isinstance(gate, ControlledGate):
             gate = _trusted(ControlledGate, controls=gate.controls, target=gate.target,
-                            matrix=draw(any_complex(2, 2)))
+                            matrix=draw(any_complex(2, 2)), wires=gate.wires, pattern=gate.pattern)
         else:
             gate = _trusted(PhaseOnZero, w=draw(doubles))  # the constructor refuses nan and inf
         gates.append(gate)
@@ -279,6 +279,25 @@ def test_circuit_dagger_matches_per_gate_reference(circuit, cascades):
         assert getattr(g, "target", None) == getattr(w, "target", None)
         assert g.matrix.shape == w.matrix.shape and g.matrix.tobytes() == w.matrix.tobytes()
         assert not g.matrix.flags.writeable
+
+
+@settings(PROPERTY, max_examples=30)
+@given(circuits(max_n=5), states(), st.integers(0, 2**32 - 1))
+def test_controlled_gates_record_wires_and_pattern(circuit, state, seed):
+    # The kernel groups runs by `wires` and reads polarities from `pattern`
+    # without looking at `controls` again. Drawn states hold zeros often, so
+    # their cascades skip branches.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, min(4, 1 << state.n) + 1))
+    built = [circuit, prepare_state(state).circuit,
+             synthesize_transitive(sample_ortho_seq(state.n, k, rng)).circuit]
+    built += [circuit_dagger(c) for c in built]
+    built += [parse_circuit(format_circuit(c)) for c in built]
+    for c in built:
+        for gate in c.gates:
+            if isinstance(gate, ControlledGate):
+                assert gate.wires == tuple(q for q, _ in gate.controls)
+                assert gate.pattern == sum(p << j for j, (_, p) in enumerate(gate.controls))
 
 
 @st.composite

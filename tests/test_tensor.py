@@ -458,6 +458,21 @@ def test_measure_prefix_coarsening():
         assert np.allclose(coarse, fine[: 1 << l] + fine[1 << l:], atol=1e-12)
 
 
+def test_measure_prefix_sums_in_scratch_sized_chunks():
+    # At n=20 the squares are summed in rows (l = 1, 4, 10) or column ranges
+    # (l = 19, 20) of one scratch, never squared into an array of the
+    # state's length; the sums are those of squaring the whole state.
+    rng = np.random.default_rng(23)
+    n = 20
+    s = random_state(n, rng)
+    for l in (1, 4, 10, 19, 20):
+        dist, peak = traced_peak(lambda: measure_prefix(s, l))
+        if l <= 10:
+            assert peak <= 16 * _scratch_amps(1 << n) + (64 << 10)
+        want = (np.abs(s.amps) ** 2).reshape(-1, 1 << l).sum(axis=0)
+        assert np.abs(dist.probs - want).max() <= 1e-14
+
+
 def test_distribution_validation():
     with pytest.raises(DomainError):
         Distribution(1, np.array([0.5, 0.4]))
