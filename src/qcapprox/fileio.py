@@ -6,9 +6,13 @@ bit i of the numeral is qubit i.
 
 Numbers are converted by one `float` map per line (per file for states
 and raw matrices) and printed by one `%`-format per gate (per file for
-states and raw matrices). The 2x2 matrices of a circuit's `ctrl` lines
-are checked for unitarity as one stack; errors still come from the first
-bad line, in the order of the per-line checks.
+states and raw matrices). A controlled gate is written as one `ctrl` line
+per branch. Reading merges consecutive `ctrl` lines with the same control
+qubits, in the same order, and the same target into one gate until a
+polarity pattern repeats; a line without controls is a gate of its own.
+The 2x2 matrices of a circuit's `ctrl` lines are checked for unitarity as
+one stack; errors still come from the first bad line, in the order of the
+per-line checks.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .tensor import (
     StateVec,
     _check_controls,
     _check_unitary,
-    _controlled_gates,
+    _check_wires,
     _trusted,
 )
 
@@ -36,7 +40,7 @@ STATE_MAGIC = "qstate v1"
 CIRCUIT_MAGIC = "qcircuit v1"
 # Control field of a ctrl line with no controls.
 NO_CONTROLS = "-"
-_NO_FIELD = ((), (), 0)  # its controls, wires and pattern
+_NO_FIELD = ((), 0)  # its wires and pattern
 PROBLEM_MAGIC = "qproblem v1"
 
 # One complex entry, written as re:im.
@@ -151,22 +155,31 @@ def parse_state(text: str) -> StateVec:
 
 # -------------------------------------------------------------- circuits
 
+def _ctrl_lines(gate: ControlledGate, wire_texts: _Memo, entries: str) -> str:
+    """The ctrl lines of a gate's branches in stack order, one `%`-format
+    for all of them. wire_texts[wires] lists ("q:0", "q:1") per control
+    qubit q, and `entries` is the template of four entries."""
+    pairs = wire_texts[gate.wires]
+    tail = f" {gate.target} {entries}"
+    fields = [",".join([pq[b >> j & 1] for j, pq in enumerate(pairs)]) or NO_CONTROLS
+              for b in gate.pattern.tolist()]
+    return "\n".join(["ctrl " + f + tail for f in fields]) % _floats(gate.stack)
+
+
 def format_circuit(circuit: Circuit) -> str:
-    pair_text = _Memo("%d:%d".__mod__)
     templates = _Memo(_entries_template)
+    wire_texts = _Memo(lambda wires: [("%d:0" % q, "%d:1" % q) for q in wires])
     lines = [CIRCUIT_MAGIC, f"n={circuit.n}"]
     for gate in circuit.gates:
         if isinstance(gate, ControlledGate):
-            ctrls = ",".join([pair_text[c] for c in gate.controls]) or NO_CONTROLS
-            head = f"ctrl {ctrls} {gate.target} "
+            lines.append(_ctrl_lines(gate, wire_texts, templates[4]))
         elif isinstance(gate, LocalGate):
-            head = f"local {','.join(map(str, gate.positions))} "
+            lines.append(f"local {','.join(map(str, gate.positions))} "
+                         + templates[gate.matrix.size] % _floats(gate.matrix))
         elif isinstance(gate, PhaseOnZero):
             lines.append("iw %.17g" % gate.w)
-            continue
         else:
             raise ParseError(f"unknown gate type {type(gate).__name__}")
-        lines.append(head + templates[gate.matrix.size] % _floats(gate.matrix))
     return "\n".join(lines) + "\n"
 
 
@@ -181,11 +194,12 @@ def _parse_control(token: str) -> tuple[int, int]:
 
 
 class _ControlFields(dict):
-    """(controls, wires, pattern) of each control field of one file, read
-    once. A field is the field before its last comma plus one q:p token, so
-    the fields of a cascade, which extend their parents' by one pair each,
-    cost one token each. Each q:p token is parsed once and its pair shared,
-    and so is one wires tuple per control-qubit sequence."""
+    """(wires, pattern) of each control field of one file, read once; the
+    pattern is -1 if a polarity is neither 0 nor 1. A field is the field
+    before its last comma plus one q:p token, so the fields of a cascade,
+    which extend their parents' by one pair each, cost one token each. Each
+    q:p token is parsed once, and one wires tuple is shared per
+    control-qubit sequence."""
 
     def __init__(self):
         super().__init__()
@@ -194,18 +208,18 @@ class _ControlFields(dict):
 
     def __missing__(self, text):
         head, comma, token = text.rpartition(",")
-        controls, wires, pattern = self[head] if comma else _NO_FIELD
-        q, p = pair = self.pairs[token]
+        wires, pattern = self[head] if comma else _NO_FIELD
+        q, p = self.pairs[token]
+        pattern = pattern | p << len(wires) if pattern >= 0 and p in (0, 1) else -1
         wires += (q,)
-        field = self[text] = (controls + (pair,), self.sequences.setdefault(wires, wires),
-                              pattern | p << len(controls))
+        field = self[text] = (self.sequences.setdefault(wires, wires), pattern)
         return field
 
 
 def _parse_line(line: str, fields: _ControlFields, ctrl_values: list[float]):
-    """The gate of one line, or ((controls, wires, pattern), target) of a
-    ctrl line, whose entries are appended to ctrl_values once its other
-    checks passed; `fields` reads a control field."""
+    """The gate of one line, or (wires, pattern, target) of a ctrl line,
+    whose entries are appended to ctrl_values once its other checks
+    passed; `fields` reads a control field."""
     toks = line.split()
     kind = toks[0]
     if kind == "ctrl":
@@ -215,15 +229,17 @@ def _parse_line(line: str, fields: _ControlFields, ctrl_values: list[float]):
             toks.insert(1, NO_CONTROLS)
         if len(toks) != 7:
             raise ParseError(f"bad ctrl gate line {line!r}")
-        field = _NO_FIELD if toks[1] == NO_CONTROLS else fields[toks[1]]
+        wires, pattern = _NO_FIELD if toks[1] == NO_CONTROLS else fields[toks[1]]
         try:
             target = int(toks[2])
         except ValueError as exc:
             raise ParseError(f"bad target in {line!r}") from exc
         values = _entry_values(toks[3:])
-        _check_controls(field[0], target)
+        if pattern < 0:  # raises the polarity error, which names the pairs
+            _check_controls(tuple(map(_parse_control, toks[1].split(","))), target)
+        _check_wires(wires, target)
         ctrl_values += values
-        return field, target
+        return wires, pattern, target
     if kind == "local":
         if len(toks) < 3:
             raise ParseError(f"bad local gate line {line!r}")
@@ -259,7 +275,9 @@ def parse_circuit(text: str) -> Circuit:
     """Every line is parsed and checked in order, except for the unitarity
     of the ctrl matrices: it is checked for the whole stack at the end, or
     for the lines above the first line that fails, so that the first bad
-    line decides the error as a line-by-line read would."""
+    line decides the error as a line-by-line read would. Consecutive ctrl
+    lines with the same control qubits and target form one gate until a
+    pattern repeats; their branches act on disjoint amplitudes."""
     n, body = _split_lines(text, CIRCUIT_MAGIC)
     fields = _ControlFields()
     values: list[float] = []
@@ -270,12 +288,29 @@ def parse_circuit(text: str) -> Circuit:
         except (ParseError, DomainError):
             _ctrl_stack(values)  # a non-unitary gate above this line comes first
             raise
-    ctrl = [s for s in specs if type(s) is tuple]  # (control field, target) per ctrl line
-    targets = [t for _, t in ctrl]
-    made = iter(_controlled_gates([c for (c, _, _), _ in ctrl], [w for (_, w, _), _ in ctrl],
-                                  [b for (_, _, b), _ in ctrl], targets, _ctrl_stack(values)))
-    gates = tuple(next(made) if type(s) is tuple else s for s in specs)
-    wires = [q for q, _ in fields.pairs.values()] + targets
+    ctrl = [s for s in specs if type(s) is tuple]  # (wires, pattern, target) per ctrl line
+    stack = _ctrl_stack(values)
+    patterns = np.array([p for _, p, _ in ctrl], dtype=np.int64)
+    patterns.flags.writeable = False
+    merged: list = []  # gates, and [wires, target, first row, end row] of ctrl lines
+    row, seen = 0, set()  # seen: the patterns of the last gate of ctrl lines
+    for s in specs:
+        if type(s) is not tuple:
+            merged.append(s)
+            continue
+        wires, pattern, target = s
+        last = merged[-1] if merged else None
+        same = type(last) is list and wires and last[0] == wires and last[1] == target
+        if same and pattern not in seen:
+            seen.add(pattern)
+            last[3] += 1
+        else:
+            seen = {pattern}
+            merged.append([wires, target, row, row + 1])
+        row += 1
+    gates = tuple(_trusted(ControlledGate, wires=g[0], target=g[1], pattern=patterns[g[2]:g[3]],
+                           stack=stack[g[2]:g[3]]) if type(g) is list else g for g in merged)
+    wires = [q for q, _ in fields.pairs.values()] + [t for _, _, t in ctrl]
     wires += [max(s.positions) for s in specs if isinstance(s, LocalGate)]
     if max(wires, default=0) >= n:
         return Circuit(n, gates)  # raises the range error of the first such gate

@@ -3,14 +3,10 @@
 prepare_state builds a circuit driving |0...0> to a target state with a
 cascade of fully conditioned single-qubit rotations. Level l of the cascade
 rotates qubit l-1 once for each pattern of qubits 0..l-2 (a uniformly
-controlled rotation, Mottonen et al. 2004, quant-ph/0407010); the cascade
-is built one level at a time, with O(1) numpy calls per level. The Python
-work left is about 1.5-2.8 us per emitted gate (n = 12 to 16, one thread,
-a shared host): one control tuple, extended from its parent branch's, and
-one gate object, which takes the level's control-qubit tuple as its wires
-and its branch index as its polarity pattern, made without re-checking
-what the construction guarantees. Inverting a preparation and applying it
-cost about 1.3-2.4 and 0.7-0.9 us per gate more.
+controlled rotation, Mottonen et al. 2004, quant-ph/0407010) and is one
+ControlledGate holding the branches it keeps. Building, inverting and
+applying a cascade take O(1) numpy calls per level and no Python work per
+branch.
 synthesize_transitive realizes any wanted action on the first k basis
 states by extending it to a unitary with at least 2**n - k unit
 eigenvalues and expanding the rest into conjugated phase-on-zero factors.
@@ -19,18 +15,17 @@ eigenvalues and expanding the rest into conjugated phase-on-zero factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from . import linalg
 from .tensor import (
     Circuit,
+    ControlledGate,
     DomainError,
     LocalGate,
     PhaseOnZero,
     StateVec,
-    _controlled_gates,
     _trusted,
     apply_circuit,
     basis_columns,
@@ -85,21 +80,17 @@ def _report(circuit: Circuit, residual: float) -> SynthesisReport:
 
 
 def _prepare_gates(amps: np.ndarray, n: int) -> list:
-    """Gates of the cascade preparing `amps` from |0...0>, one level at a time.
+    """Gates of the cascade preparing `amps` from |0...0>, one per level.
 
     v_n = amps, and v_{l-1} = sqrt(|low|^2 + |high|^2) over the halves of
     v_l. Level l rotates qubit l-1 conditioned on every pattern b of qubits
     0..l-2: the determinant-1 lift with first column (v_l[b], v_l[b + half])
     / v_{l-1}[b], kept only where that weight is at least BRANCH_TOL and the
-    lift is not the identity. Level 1 is one local gate.
-
-    The gates are built unchecked: each lift is unitary by construction and
-    every wire lies below n. The control tuple of branch b at level l is
-    that of its parent b mod 2**(l-2) at level l-1 plus (l-2, bit l-2 of
-    b), and it is made only for branches that pass BRANCH_TOL. A passing
-    branch's parent passes too, since its weight is at least the branch's.
-    Its control qubits are 0..l-2, one tuple for the level, and its
-    polarity pattern is b itself.
+    lift is not the identity. Level 1 is one local gate; every other level
+    with a kept branch is one ControlledGate on wires 0..l-2, whose pattern
+    array is the kept b and whose stack is their lifts. The gates are built
+    unchecked: each lift is unitary by construction, the patterns are
+    distinct and every wire lies below n.
     """
     levels = [np.asarray(amps, dtype=complex)]
     for _ in range(n):
@@ -107,7 +98,6 @@ def _prepare_gates(amps: np.ndarray, n: int) -> list:
         half = v.size // 2
         levels.append(np.sqrt(np.abs(v[:half]) ** 2 + np.abs(v[half:]) ** 2).astype(complex))
     gates: list = []
-    controls = {0: ()}  # passing branch of the level -> its control tuple
     for l in range(1, n + 1):
         v, w = levels[n - l], levels[n - l + 1]
         branches = np.flatnonzero(w.real >= BRANCH_TOL)
@@ -115,17 +105,15 @@ def _prepare_gates(amps: np.ndarray, n: int) -> list:
         a1 = v[w.size + branches] / w[branches]
         lifts = np.stack([a0, -a1.conj(), a1, a0.conj()], axis=-1).reshape(-1, 2, 2)
         keep = np.abs(lifts - np.eye(2)).max(axis=(1, 2)) > IDENTITY_GATE_TOL
-        lifts = lifts[keep]
-        lifts.flags.writeable = False
-        if l == 1:
-            gates.extend(LocalGate((0,), m) for m in lifts)
+        if not keep.any():
             continue
-        # Gates share their (qubit, polarity) pairs: fewer objects to collect.
-        pair, low = ((l - 2, 0), (l - 2, 1)), (1 << (l - 2)) - 1
-        controls = {b: controls[b & low] + (pair[b >> (l - 2)],) for b in branches.tolist()}
-        kept = branches[keep].tolist()
-        gates.extend(_controlled_gates(map(controls.__getitem__, kept), repeat(tuple(range(l - 1))),
-                                       kept, repeat(l - 1), lifts))
+        lifts, kept = lifts[keep], branches[keep].astype(np.int64, copy=False)
+        lifts.flags.writeable = kept.flags.writeable = False
+        if l == 1:
+            gates.append(LocalGate((0,), lifts[0]))
+        else:
+            gates.append(_trusted(ControlledGate, wires=tuple(range(l - 1)), target=l - 1,
+                                  pattern=kept, stack=lifts))
     return gates
 
 
@@ -135,7 +123,8 @@ def prepare_state(u: StateVec) -> SynthesisReport:
     Level by level: level l installs the magnitude profile of the first l
     bits, one conditioned rotation of qubit l-1 per surviving branch
     pattern of the first l-1 bits; the last level installs the target
-    amplitudes, phases included. At most 2**n - 1 primitive gates come out.
+    amplitudes, phases included. At most n gates come out, one per level,
+    with at most 2**n - 1 branches in all.
     """
     circuit = _trusted(Circuit, n=u.n, gates=tuple(_prepare_gates(u.amps, u.n)))
     out = apply_circuit(circuit, StateVec.zero(u.n))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from math import prod
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Union
 
 import numpy as np
@@ -125,19 +125,26 @@ class Distribution:
 
 
 _QUBIT, _POLARITY = itemgetter(0), itemgetter(1)
-_PATTERN = attrgetter("pattern")
+# Patterns are int64 arrays, so a controlled gate has at most 62 controls.
+MAX_CONTROLS = 62
 
 
 def _check_controls(controls: tuple, target: int) -> None:
-    """Polarities 0 or 1; control and target wires distinct and non-negative."""
+    """Polarities 0 or 1, then the wires as _check_wires checks them."""
     if not set(map(_POLARITY, controls)) <= {0, 1}:
         raise DomainError(f"control polarities must be 0 or 1: {controls}")
-    qubits = list(map(_QUBIT, controls))
-    touched = qubits + [target]
+    _check_wires(tuple(map(_QUBIT, controls)), target)
+
+
+def _check_wires(wires: tuple, target: int) -> None:
+    """Control and target wires distinct and non-negative, at most MAX_CONTROLS controls."""
+    touched = list(wires) + [target]
     if len(set(touched)) != len(touched):
-        raise DomainError(f"controls {qubits} and target {target} must be distinct")
+        raise DomainError(f"controls {list(wires)} and target {target} must be distinct")
     if min(touched) < 0:
         raise DomainError("negative qubit index")
+    if len(wires) > MAX_CONTROLS:
+        raise DomainError(f"{len(wires)} controls exceed the limit of {MAX_CONTROLS}")
 
 
 def _trusted(cls, **fields):
@@ -147,6 +154,13 @@ def _trusted(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(gate, name, value)
     return gate
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of `a`."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -173,64 +187,80 @@ class LocalGate:
             raise DomainError(
                 f"matrix shape {m.shape} does not match {len(pos)} positions"
             )
-        m = m.copy()
-        m.flags.writeable = False
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m))
 
     @property
     def arity(self) -> int:
         return len(self.positions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ControlledGate:
-    """Single-qubit unitary applied to `target` when every control matches.
+    """Uniformly controlled single-qubit gate (a multiplexor) with G branches.
 
-    controls is a tuple of (qubit, polarity) pairs; polarity 1 fires on the
-    control bit being 1, polarity 0 on it being 0. Two fields are derived
-    from it, for the kernel: `wires`, the control qubits in order, and
-    `pattern`, the polarities as an int whose bit j is that of controls[j].
-    Gates built together share one `wires` tuple per control-qubit sequence.
+    Branch i applies stack[i] to `target` where the control qubits `wires`
+    read pattern[i]: bit j of the pattern is the bit of wires[j]. The
+    patterns are pairwise distinct and lie in [0, 2**c), so the branches
+    act on disjoint amplitude pairs and commute. `pattern` is a read-only
+    (G,) int64 array and `stack` a read-only (G, 2, 2) array.
+
+    ControlledGate(controls, target, matrix) is the case G = 1, from
+    (qubit, polarity) pairs; polarity 1 fires on the control bit being 1,
+    polarity 0 on it being 0. ControlledGate.multiplexor builds any G.
     """
 
-    controls: tuple[tuple[int, int], ...]
+    wires: tuple[int, ...]
     target: int
-    matrix: np.ndarray
-    wires: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    pattern: int = field(init=False, repr=False, compare=False)
+    pattern: np.ndarray
+    stack: np.ndarray
 
-    def __post_init__(self):
-        ctrls = tuple([(int(q), int(p)) for q, p in self.controls])
-        _check_controls(ctrls, int(self.target))
-        m = _check_unitary(self.matrix, "gate matrix")
+    def __init__(self, controls, target: int, matrix):
+        ctrls = tuple([(int(q), int(p)) for q, p in controls])
+        _check_controls(ctrls, int(target))
+        m = _check_unitary(matrix, "gate matrix")
         if m.shape != (2, 2):
             raise DomainError(f"controlled gate matrix must be 2x2, got {m.shape}")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "controls", ctrls)
-        object.__setattr__(self, "target", int(self.target))
-        object.__setattr__(self, "matrix", m)
+        pattern = np.array([sum([p << j for j, (_, p) in enumerate(ctrls)])], dtype=np.int64)
+        pattern.flags.writeable = False
         object.__setattr__(self, "wires", tuple(map(_QUBIT, ctrls)))
-        object.__setattr__(self, "pattern", sum([p << j for j, (_, p) in enumerate(ctrls)]))
+        object.__setattr__(self, "target", int(target))
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "stack", _frozen(m[None]))
 
+    @classmethod
+    def multiplexor(cls, wires, target: int, pattern, stack) -> "ControlledGate":
+        """The gate applying stack[i] where `wires` read pattern[i], validated."""
+        wires, target = tuple(int(q) for q in wires), int(target)
+        _check_wires(wires, target)
+        p = np.asarray(pattern)
+        if p.ndim != 1 or not p.size or p.dtype.kind not in "iu":
+            raise DomainError(f"patterns must be a non-empty 1-D integer array, got {p.dtype} "
+                              f"of shape {p.shape}")
+        if p.min() < 0 or p.max() >= 1 << len(wires):
+            raise DomainError(f"patterns must lie in [0, {1 << len(wires)})")
+        if np.unique(p).size != p.size:
+            raise DomainError("patterns must be pairwise distinct")
+        m = _check_unitary(stack, "gate matrix")
+        if m.shape != (p.size, 2, 2):
+            raise DomainError(f"expected a ({p.size}, 2, 2) stack, got shape {m.shape}")
+        return _trusted(cls, wires=wires, target=target, pattern=_frozen(p.astype(np.int64)),
+                        stack=_frozen(m))
 
-def _controlled_gates(controls, wires, patterns, targets, matrices) -> list:
-    """ControlledGates from parallel iterables of control tuples, their
-    wires and patterns, targets and read-only 2x2 matrices that are already
-    validated: no __post_init__, and none of _trusted's keyword handling,
-    which costs as much again per gate."""
-    new, put = object.__new__, object.__setattr__
-    gates = []
-    for c, w, b, t, m in zip(controls, wires, patterns, targets, matrices):
-        gate = new(ControlledGate)
-        put(gate, "controls", c)
-        put(gate, "target", t)
-        put(gate, "matrix", m)
-        put(gate, "wires", w)
-        put(gate, "pattern", b)
-        gates.append(gate)
-    return gates
+    @property
+    def controls(self) -> tuple:
+        """The (qubit, polarity) pairs of a gate with one branch. With more,
+        (wires, the pattern array's bytes): a value that still changes
+        with every wire and pattern, made without a loop over branches."""
+        if len(self.pattern) > 1:
+            return self.wires, self.pattern.tobytes()
+        b = int(self.pattern[0])
+        return tuple([(q, (b >> j) & 1) for j, q in enumerate(self.wires)])
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The 2x2 matrix of a gate with one branch; with more, the stack."""
+        return self.stack if len(self.stack) > 1 else self.stack[0]
 
 
 @dataclass(frozen=True)
@@ -261,13 +291,13 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
 
 
 def default_gate_cost(gate: Gate, n: int) -> float:
-    """Two-qubit-equivalent cost of one primitive gate on an n-qubit register."""
-    # Cascades are mostly controlled gates: their test comes first.
-    if isinstance(gate, ControlledGate):
-        return float(max(1, len(gate.controls)))
+    """Two-qubit-equivalent cost of a gate on an n-qubit register: a
+    controlled gate costs max(1, controls) per branch."""
     if isinstance(gate, LocalGate):
         g = gate.arity
         return 1.0 if g <= 2 else float(1 << g)
+    if isinstance(gate, ControlledGate):
+        return float(len(gate.pattern) * max(1, len(gate.wires)))
     if isinstance(gate, PhaseOnZero):
         return float(n * n)
     raise DomainError(f"unknown gate type {type(gate).__name__}")
@@ -278,7 +308,7 @@ CostModel = Callable[[Gate, int], float]
 
 @dataclass(frozen=True)
 class CircuitCost:
-    primitive_count: int
+    primitive_count: int  # a controlled gate counts once per branch
     two_qubit_equiv: float
 
 
@@ -301,7 +331,8 @@ class Circuit:
 
     def cost(self, model: CostModel = default_gate_cost) -> CircuitCost:
         return CircuitCost(
-            primitive_count=len(self.gates),
+            primitive_count=sum([len(g.pattern) if isinstance(g, ControlledGate) else 1
+                                 for g in self.gates]),
             two_qubit_equiv=float(sum(map(model, self.gates, repeat(self.n)))),
         )
 
@@ -320,34 +351,25 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
     call (see _scratch_amps), on one of two paths:
     - A local gate, or a controlled gate without controls, on adjacent
       qubits is _apply_local: one matmul per contiguous chunk.
-    - Every other gate is a strided _apply_step. A local gate on
-      non-adjacent qubits is one step. A run is a stretch of consecutive
-      ControlledGates with at least one control, the same target and the
-      same control qubits in the same order; _apply_run cuts it before each
-      repeated polarity pattern, and each piece is one step, a run of one
-      included.
+    - Every other gate is one strided _apply_step: a local gate on
+      non-adjacent qubits, or a controlled gate with its stack and the
+      bits of its pattern array as polarity rows, all its branches in one
+      step.
     Phase-on-zero gates scale one entry. Peak memory is the block and the
-    scratch; a step of several gates adds its gathered amplitude pairs, at
-    most half a scratch at a time.
+    scratch; a step of several branches adds its gathered amplitude pairs,
+    at most half a scratch at a time.
     """
     if not block.shape[1]:
         return block
     t = block.reshape([2] * n + [block.shape[1]])
     scratch = np.empty(_scratch_amps(block.size), dtype=complex)
-    target, qubits, run = None, None, []  # the run's target, control qubits and gates
     for gate in gates:
-        wires = gate.wires if isinstance(gate, ControlledGate) else None
-        if wires:
-            if gate.target == target and wires == qubits:
-                run.append(gate)
-                continue
-            _apply_run(t, n, qubits, target, run, scratch)
-            target, qubits, run = gate.target, wires, [gate]
-            continue
-        _apply_run(t, n, qubits, target, run, scratch)
-        target, qubits, run = None, None, []
         if isinstance(gate, PhaseOnZero):
             t[(0,) * n] *= np.exp(1j * gate.w)
+            continue
+        if isinstance(gate, ControlledGate) and gate.wires:
+            rows = (gate.pattern[:, None] >> np.arange(len(gate.wires))) & 1
+            _apply_step(t, n, gate.wires, (gate.target,), gate.stack, rows, scratch)
             continue
         positions = gate.positions if isinstance(gate, LocalGate) else (gate.target,)
         g = len(positions)
@@ -357,7 +379,6 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
             _apply_local(t, n, positions, gate.matrix, work)
         else:
             _apply_step(t, n, (), positions, gate.matrix[None], [()], work)
-    _apply_run(t, n, qubits, target, run, scratch)
     return block
 
 
@@ -439,53 +460,13 @@ def _apply_local(t: np.ndarray, n: int, positions, m: np.ndarray, scratch: np.nd
             part[...] = out
 
 
-def _apply_run(t: np.ndarray, n: int, controls, target: int, run: list, scratch: np.ndarray) -> None:
-    """Apply consecutive ControlledGates on `target` with the control qubits
-    `controls`, in that order, to the state tensor t in place.
-
-    The gates' `pattern` ints give the (G, c) polarity rows by bit shifts,
-    one np.fromiter for the run, and the matrices one (G, 2, 2) stack. A
-    lone gate's row is the bits of its pattern and its stack matrix[None].
-    Gates with pairwise distinct patterns act on disjoint amplitude pairs,
-    so they commute: the run is cut before each gate whose pattern repeats
-    one since the last cut (found by one stable sort of the patterns), and
-    each piece is one _apply_step. In synthesized circuits cuts come up
-    where a phase factor's last preparation level meets the next factor's
-    first inverse level on the same target and controls: 12 runs per
-    benchmark pass in synth, and 2 to 4 in cli and simulate with their
-    random circuits. Each would otherwise take one step per gate.
-    """
-    if not run:
-        return
-    if len(run) == 1:
-        b = run[0].pattern
-        row = [(b >> j) & 1 for j in range(len(controls))]
-        _apply_step(t, n, controls, (target,), run[0].matrix[None], [row], scratch)
-        return
-    g = len(run)
-    patterns = np.fromiter(map(_PATTERN, run), np.intp, count=g)
-    polarities = (patterns[:, None] >> np.arange(len(controls))) & 1
-    stack = np.concatenate([gate.matrix for gate in run]).reshape(-1, 2, 2)
-    order = np.argsort(patterns, kind="stable")
-    same = patterns[order[1:]] == patterns[order[:-1]]
-    previous = np.full(g, -1)  # the last earlier gate with the same pattern
-    previous[order[1:][same]] = order[:-1][same]
-    cuts = [0]
-    for i in np.flatnonzero(previous >= 0).tolist():
-        if previous[i] >= cuts[-1]:
-            cuts.append(i)
-    cuts.append(g)
-    for a, b in zip(cuts, cuts[1:]):
-        _apply_step(t, n, controls, (target,), stack[a:b], polarities[a:b], scratch)
-
-
 def _apply_step(t: np.ndarray, n: int, controls, positions, stack: np.ndarray, polarities,
                 scratch: np.ndarray) -> None:
     """Apply gate i of the (G, d, d) stack on `positions` to the state
     tensor t in place, wherever the qubits `controls` read row i of the
     (G, c) array `polarities` (a list of one row will do for G = 1). The
-    rows are pairwise distinct, so the gates act on disjoint amplitudes;
-    several gates share one target qubit.
+    rows are pairwise distinct, so the gates act on disjoint amplitudes:
+    they are the branches of one controlled gate.
 
     The control axes, then the gate axes in the matrix's bit order, move to
     the front. A single gate takes the view its polarities select with
@@ -560,34 +541,26 @@ def circuit_to_matrix(circuit: Circuit, dense_cap: int = DENSE_QUBIT_CAP) -> np.
 
 
 def _dagger_gate(gate: Gate) -> Gate:
-    """Adjoint of a local or phase-on-zero gate. The adjoint of a validated
-    unitary is unitary, so it is built without checking it again."""
+    """Adjoint of one gate. A controlled gate keeps its wires and lists its
+    branches in reverse, as the reversed gates of its branches would come;
+    the adjoint of a validated unitary is unitary, so no gate is checked
+    again."""
     if isinstance(gate, PhaseOnZero):
         return PhaseOnZero(-gate.w)
-    m = gate.matrix.conj().T.copy()
-    m.flags.writeable = False
-    return _trusted(LocalGate, positions=gate.positions, matrix=m)
+    m = gate.matrix if isinstance(gate, LocalGate) else gate.stack[::-1]
+    adjoint = np.conjugate(m.swapaxes(-1, -2), out=np.empty(m.shape, dtype=complex))
+    adjoint.flags.writeable = False
+    if isinstance(gate, LocalGate):
+        return _trusted(LocalGate, positions=gate.positions, matrix=adjoint)
+    return _trusted(ControlledGate, wires=gate.wires, target=gate.target,
+                    pattern=gate.pattern[::-1], stack=adjoint)
 
 
 def circuit_dagger(circuit: Circuit) -> Circuit:
-    """Inverse circuit: reversed gate order, each gate conjugate-transposed.
-    It touches the qubits of a validated circuit, so it is not checked again.
-
-    The controlled gates are inverted together: their matrices are
-    conjugate-transposed as one read-only (G, 2, 2) stack, and each inverse
-    gate keeps its source's controls, wires and pattern and takes a view of
-    that stack.
-    """
-    gates = circuit.gates[::-1]
-    controlled = [g for g in gates if isinstance(g, ControlledGate)]
-    stack = np.array([g.matrix for g in controlled]).reshape(-1, 2, 2)
-    adjoints = np.conjugate(stack.swapaxes(1, 2), out=np.empty_like(stack))
-    adjoints.flags.writeable = False
-    inverses = iter(_controlled_gates([g.controls for g in controlled], [g.wires for g in controlled],
-                                      [g.pattern for g in controlled], [g.target for g in controlled],
-                                      adjoints))
-    gates = tuple(next(inverses) if isinstance(g, ControlledGate) else _dagger_gate(g) for g in gates)
-    return _trusted(Circuit, n=circuit.n, gates=gates)
+    """Inverse circuit: reversed gate order, each gate conjugate-transposed
+    with O(1) numpy calls. It touches the qubits of a validated circuit, so
+    it is not checked again."""
+    return _trusted(Circuit, n=circuit.n, gates=tuple(map(_dagger_gate, reversed(circuit.gates))))
 
 
 def measure_prefix(state: StateVec, l: int) -> Distribution:
@@ -596,23 +569,21 @@ def measure_prefix(state: StateVec, l: int) -> Distribution:
     The squared magnitudes are summed over the high bits of the
     (2**(n-l), 2**l) view in chunks, rows or column ranges of at most one
     scratch (_scratch_amps) of amplitudes, so no temporary has the state's
-    length. Each chunk's squares go below the sums so far in one buffer and
-    are added to them row by row, as one reduction over the whole view adds
-    them.
+    length. Each chunk's squares are reduced on their own and the chunk
+    sums added up, which keeps the rounding of long sums small.
     """
     if not 1 <= l <= state.n:
         raise DomainError(f"prefix length {l} out of range [1, {state.n}]")
     v = state.amps.reshape(-1, 1 << l)
     work = _scratch_amps(v.size)
     rows, width = max(1, work >> l), min(v.shape[1], work)
-    squares = np.empty((rows + 1) * width)
+    squares, sums = np.empty(rows * width), np.empty(width)
     probs = np.zeros(v.shape[1])
     for c0 in range(0, v.shape[1], width):
         for r0 in range(0, v.shape[0], rows):
             part = v[r0:r0 + rows, c0:c0 + width]
-            buf = squares[:part.size + part.shape[1]].reshape(-1, part.shape[1])
-            buf[0] = probs[c0:c0 + width]
-            np.abs(part, out=buf[1:])
-            np.square(buf[1:], out=buf[1:])
-            np.add.reduce(buf, axis=0, out=probs[c0:c0 + width])
+            buf, total = squares[:part.size].reshape(part.shape), sums[:part.shape[1]]
+            np.abs(part, out=buf)
+            np.square(buf, out=buf)
+            probs[c0:c0 + width] += np.add.reduce(buf, axis=0, out=total)
     return Distribution(l, probs)

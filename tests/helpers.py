@@ -97,9 +97,9 @@ def kernel_gate(n: int, rng: np.random.Generator):
 
 
 def kernel_run(n: int, rng: np.random.Generator):
-    """Up to 8 controlled gates sharing one target and one control-qubit
-    sequence (0 to n-1 controls) with distinct polarity patterns; half the
-    time one pattern comes back later, which must split the run."""
+    """Up to 8 one-branch controlled gates sharing one target and one
+    control-qubit sequence (0 to n-1 controls) with distinct polarity
+    patterns; half the time one pattern comes back later."""
     order = [int(q) for q in rng.permutation(n)]
     qubits = order[1:1 + int(rng.integers(0, n))]
     size = min(1 << len(qubits), int(rng.integers(2, 9)))
@@ -112,12 +112,39 @@ def kernel_run(n: int, rng: np.random.Generator):
     ]
 
 
+def kernel_multiplexor(n: int, rng: np.random.Generator):
+    """A controlled gate of 1 to 8 branches on a random target, its
+    controls (0 to n-1 of them) in random order, with distinct random
+    patterns."""
+    order = [int(q) for q in rng.permutation(n)]
+    wires = order[1:1 + int(rng.integers(0, n))]
+    size = min(1 << len(wires), int(rng.integers(1, 9)))
+    patterns = rng.choice(1 << len(wires), size=size, replace=False)
+    return ControlledGate.multiplexor(wires, order[0], patterns,
+                                      np.array([haar_unitary(2, rng) for _ in range(size)]))
+
+
+def branch_gates(gates) -> list:
+    """The gates with each controlled gate split into its branches, in
+    stack order: one-branch gates whose pattern and stack are views of
+    their source's."""
+    out = []
+    for g in gates:
+        if not isinstance(g, ControlledGate):
+            out.append(g)
+            continue
+        out.extend(_trusted(ControlledGate, wires=g.wires, target=g.target, pattern=g.pattern[i:i + 1],
+                            stack=g.stack[i:i + 1]) for i in range(len(g.pattern)))
+    return out
+
+
 def assert_same_circuit(got: Circuit, want: Circuit) -> None:
-    """Same qubit count and, gate by gate, the same kind, wires and
-    bit-identical matrix or angle."""
+    """Same qubit count and, branch by branch (see branch_gates), the same
+    kind, wires and bit-identical matrix or angle."""
     assert got.n == want.n
-    assert len(got.gates) == len(want.gates)
-    for g1, g2 in zip(want.gates, got.gates):
+    got_branches, want_branches = branch_gates(got.gates), branch_gates(want.gates)
+    assert len(got_branches) == len(want_branches)
+    for g1, g2 in zip(want_branches, got_branches):
         assert type(g1) is type(g2)
         if isinstance(g1, LocalGate):
             assert g1.positions == g2.positions
@@ -131,21 +158,25 @@ def assert_same_circuit(got: Circuit, want: Circuit) -> None:
 
 
 def dagger_reference(circuit: Circuit) -> Circuit:
-    """Inverse circuit built one gate at a time: each matrix conjugate-
-    transposed into its own read-only copy, each gate keeping its source's
-    wires (the same controls tuple object)."""
+    """Inverse circuit built one gate, and one branch, at a time: each
+    matrix conjugate-transposed into its own copy, read-only, and each
+    controlled gate keeping its source's wires (the same tuple object)
+    with its branches in reverse."""
     gates = []
     for gate in reversed(circuit.gates):
         if isinstance(gate, PhaseOnZero):
             gates.append(PhaseOnZero(-gate.w))
             continue
-        m = gate.matrix.conj().T.copy()
-        m.flags.writeable = False
         if isinstance(gate, LocalGate):
+            m = gate.matrix.conj().T.copy()
+            m.flags.writeable = False
             gates.append(_trusted(LocalGate, positions=gate.positions, matrix=m))
-        else:
-            gates.append(_trusted(ControlledGate, controls=gate.controls, target=gate.target, matrix=m,
-                                  wires=gate.wires, pattern=gate.pattern))
+            continue
+        stack = np.array([m.conj().T for m in gate.stack[::-1]])
+        pattern = np.array(gate.pattern[::-1])
+        stack.flags.writeable = pattern.flags.writeable = False
+        gates.append(_trusted(ControlledGate, wires=gate.wires, target=gate.target, pattern=pattern,
+                              stack=stack))
     return Circuit(circuit.n, tuple(gates))
 
 
@@ -167,9 +198,15 @@ def embed_oracle(positions, matrix, n):
 
 
 def gate_oracle(gate, n):
-    """Dense matrix of any gate through embed_oracle: a controlled gate is a
-    local gate on (target, *controls) that acts only where every control
-    matches, and phase-on-zero is a diagonal local gate on all qubits."""
+    """Dense matrix of any gate through embed_oracle: a controlled gate is
+    the product of its branches, each a local gate on (target, *controls)
+    that acts only where every control matches, and phase-on-zero is a
+    diagonal local gate on all qubits."""
+    if isinstance(gate, ControlledGate) and len(gate.pattern) > 1:
+        u = np.eye(1 << n, dtype=complex)
+        for branch in branch_gates([gate]):
+            u = gate_oracle(branch, n) @ u
+        return u
     if isinstance(gate, LocalGate):
         return embed_oracle(gate.positions, gate.matrix, n)
     if isinstance(gate, PhaseOnZero):
@@ -194,12 +231,12 @@ def format_state_reference(state: StateVec) -> str:
 
 
 def format_circuit_reference(circuit: Circuit) -> str:
-    """One gate and one matrix entry at a time, each part through fmt_reference."""
+    """One branch and one matrix entry at a time, each part through fmt_reference."""
     def entries(m):
         return " ".join(f"{fmt_reference(z.real)}:{fmt_reference(z.imag)}" for z in m.reshape(-1))
 
     lines = [CIRCUIT_MAGIC, f"n={circuit.n}"]
-    for gate in circuit.gates:
+    for gate in branch_gates(circuit.gates):
         if isinstance(gate, LocalGate):
             pos = ",".join(str(q) for q in gate.positions)
             lines.append(f"local {pos} {entries(gate.matrix)}")

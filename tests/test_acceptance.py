@@ -74,6 +74,8 @@ def test_c01_state_preparation():
                     isinstance(g, ControlledGate) for g in rep.circuit.gates
                 )
                 assert controlled <= (1 << n) - 1
+                branches = sum(len(g.pattern) for g in rep.circuit.gates if isinstance(g, ControlledGate))
+                assert branches <= (1 << n) - 1
                 assert rep.two_qubit_equiv <= n * (1 << n)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.1f}s"

@@ -17,8 +17,23 @@ from qcapprox.fileio import (
 from qcapprox.measure import sample_haar_state
 from qcapprox.problems import DecisionProblem, GuessProblem
 from qcapprox.synthesis import prepare_state
-from qcapprox.tensor import Circuit, ControlledGate, DomainError, LocalGate, PhaseOnZero, StateVec
-from helpers import assert_same_circuit, parse_circuit_reference, random_circuit, random_state
+from qcapprox.tensor import (
+    Circuit,
+    ControlledGate,
+    DomainError,
+    LocalGate,
+    PhaseOnZero,
+    StateVec,
+    apply_circuit,
+)
+from helpers import (
+    assert_same_circuit,
+    gate_oracle,
+    haar_unitary,
+    parse_circuit_reference,
+    random_circuit,
+    random_state,
+)
 
 IDENTITY = "1:0 0:0 0:0 1:0"
 DEFECT_3 = "2:0 0:0 0:0 1:0"  # M^H M - I = diag(3, 0)
@@ -84,6 +99,29 @@ def test_zero_control_gate_round_trip():
     # older files left the control field empty
     legacy = parse_circuit("qcircuit v1\nn=2\nctrl  1 0:0 1:0 1:0 0:0\n").gates[0]
     assert legacy.controls == () and np.array_equal(legacy.matrix, x)
+
+
+def test_ctrl_lines_merge_until_a_pattern_repeats():
+    # Consecutive ctrl lines on one target and one control-qubit sequence
+    # are one gate until a pattern comes back; a different control order, a
+    # different target or no controls at all starts a gate of its own.
+    rng = np.random.default_rng(5)
+    lines = [(((0, 1), (2, 0)), 1), (((0, 0), (2, 0)), 1), (((0, 1), (2, 1)), 1),
+             (((0, 0), (2, 0)), 1), (((0, 1), (2, 1)), 1)]
+    tail = [(((2, 1), (0, 0)), 1), (((2, 0), (0, 0)), 3), ((), 1), ((), 1)]
+    for specs, patterns in ((lines, [[1, 0, 3], [0, 3]]), (lines + tail, [[1, 0, 3], [0, 3], [1], [0], [0], [0]])):
+        per_line = Circuit(4, tuple(ControlledGate(c, t, haar_unitary(2, rng)) for c, t in specs))
+        text = format_circuit(per_line)
+        merged = parse_circuit(text)
+        assert [g.pattern.tolist() for g in merged.gates] == patterns
+        assert format_circuit(merged) == text
+        assert_same_circuit(merged, per_line)
+        want = np.eye(16, dtype=complex)
+        for gate in parse_circuit_reference(text).gates:
+            want = gate_oracle(gate, 4) @ want
+        s = random_state(4, rng)
+        assert np.abs(apply_circuit(merged, s).amps - want @ s.amps).max() <= 1e-12
+        assert np.abs(apply_circuit(merged, s).amps - apply_circuit(per_line, s).amps).max() <= 1e-12
 
 
 def test_circuit_format_lines():

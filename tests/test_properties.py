@@ -42,6 +42,7 @@ from qcapprox.tensor import (
 )
 from helpers import (
     assert_same_circuit,
+    branch_gates,
     dagger_reference,
     fmt_reference,
     format_circuit_reference,
@@ -49,6 +50,7 @@ from helpers import (
     gate_oracle,
     haar_unitary,
     kernel_gate,
+    kernel_multiplexor,
     kernel_run,
     parse_circuit_reference,
 )
@@ -85,14 +87,21 @@ def gates(draw, n, kind):
         positions = tuple(wires[:draw(st.integers(1, min(n, 3)))])
         return LocalGate(positions, haar_unitary(1 << len(positions), rng))
     if kind == "ctrl":
+        # One branch from (qubit, polarity) pairs, or 1 to 4 from a pattern array.
         controls = tuple((q, draw(st.integers(0, 1))) for q in wires[1:draw(st.integers(1, n))])
-        return ControlledGate(controls, wires[0], haar_unitary(2, rng))
+        patterns = draw(st.lists(st.integers(0, (1 << len(controls)) - 1), min_size=1, max_size=4,
+                                 unique=True))
+        if len(patterns) == 1 and draw(st.booleans()):
+            return ControlledGate(controls, wires[0], haar_unitary(2, rng))
+        return ControlledGate.multiplexor([q for q, _ in controls], wires[0], patterns,
+                                          np.array([haar_unitary(2, rng) for _ in patterns]))
     return PhaseOnZero(draw(st.floats(-math.pi, math.pi)))
 
 
 @st.composite
 def gate_lists(draw, n):
-    """At least one gate of every kind, zero-control controlled gates included."""
+    """At least one gate of every kind, zero-control and multi-branch
+    controlled gates included."""
     kinds = list(GATE_KINDS) + draw(st.lists(st.sampled_from(GATE_KINDS), max_size=5))
     return tuple(draw(gates(n, kind)) for kind in draw(st.permutations(kinds)))
 
@@ -149,8 +158,8 @@ def raw_circuits(draw):
             gate = _trusted(LocalGate, positions=gate.positions,
                             matrix=draw(any_complex(*gate.matrix.shape)))
         elif isinstance(gate, ControlledGate):
-            gate = _trusted(ControlledGate, controls=gate.controls, target=gate.target,
-                            matrix=draw(any_complex(2, 2)), wires=gate.wires, pattern=gate.pattern)
+            gate = _trusted(ControlledGate, wires=gate.wires, target=gate.target, pattern=gate.pattern,
+                            stack=draw(any_complex(len(gate.pattern), 2, 2)))
         else:
             gate = _trusted(PhaseOnZero, w=draw(doubles))  # the constructor refuses nan and inf
         gates.append(gate)
@@ -173,7 +182,8 @@ def test_cascade_round_trip_bit_exact():
     circuit = prepare_state(sample_haar_state(11, np.random.default_rng(3))).circuit
     back = parse_circuit(format_circuit(circuit))
     assert_same_circuit(back, circuit)
-    assert len(back.gates) == 2047
+    assert len(branch_gates(back.gates)) == 2047
+    assert len(back.gates) == len(circuit.gates) == 11  # one gate per level
     assert not any(g.matrix.flags.writeable for g in back.gates)
 
 
@@ -275,8 +285,10 @@ def test_circuit_dagger_matches_per_gate_reference(circuit, cascades):
             assert g.w == w.w
             continue
         assert getattr(g, "positions", None) == getattr(w, "positions", None)
-        assert getattr(g, "controls", None) is getattr(w, "controls", None)
+        assert getattr(g, "wires", None) is getattr(w, "wires", None)
         assert getattr(g, "target", None) == getattr(w, "target", None)
+        if isinstance(w, ControlledGate):
+            assert np.array_equal(g.pattern, w.pattern) and not g.pattern.flags.writeable
         assert g.matrix.shape == w.matrix.shape and g.matrix.tobytes() == w.matrix.tobytes()
         assert not g.matrix.flags.writeable
 
@@ -284,9 +296,9 @@ def test_circuit_dagger_matches_per_gate_reference(circuit, cascades):
 @settings(PROPERTY, max_examples=30)
 @given(circuits(max_n=5), states(), st.integers(0, 2**32 - 1))
 def test_controlled_gates_record_wires_and_pattern(circuit, state, seed):
-    # The kernel groups runs by `wires` and reads polarities from `pattern`
-    # without looking at `controls` again. Drawn states hold zeros often, so
-    # their cascades skip branches.
+    # The kernel reads the polarities from the bits of `pattern` and the
+    # control qubits from `wires`. Drawn states hold zeros often, so their
+    # cascades skip branches.
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, min(4, 1 << state.n) + 1))
     built = [circuit, prepare_state(state).circuit,
@@ -296,18 +308,30 @@ def test_controlled_gates_record_wires_and_pattern(circuit, state, seed):
     for c in built:
         for gate in c.gates:
             if isinstance(gate, ControlledGate):
-                assert gate.wires == tuple(q for q, _ in gate.controls)
-                assert gate.pattern == sum(p << j for j, (_, p) in enumerate(gate.controls))
+                size, controls = len(gate.pattern), len(gate.wires)
+                assert gate.pattern.shape == (size,) and gate.pattern.dtype == np.int64
+                assert gate.stack.shape == (size, 2, 2) and size >= 1
+                assert not gate.pattern.flags.writeable and not gate.stack.flags.writeable
+                assert len(set(gate.pattern.tolist())) == size
+                assert 0 <= gate.pattern.min() and gate.pattern.max() < 1 << controls
+                assert len(set(gate.wires + (gate.target,))) == controls + 1
+        for branch in branch_gates(c.gates):
+            if isinstance(branch, ControlledGate):
+                assert branch.wires == tuple(q for q, _ in branch.controls)
+                assert branch.pattern[0] == sum(p << j for j, (_, p) in enumerate(branch.controls))
 
 
 @st.composite
 def kernel_gates(draw, n):
     """A short gate list for the kernel: single gates from kernel_gate
     (local gates on every placement, controlled gates with and without
-    controls, phase-on-zero) and runs from kernel_run."""
+    controls, phase-on-zero), runs of one-branch gates from kernel_run and
+    multi-branch gates from kernel_multiplexor."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    runs = draw(st.lists(st.booleans(), min_size=1, max_size=6))
-    return [g for run in runs for g in (kernel_run(n, rng) if run else [kernel_gate(n, rng)])]
+    makers = (lambda: [kernel_gate(n, rng)], lambda: kernel_run(n, rng),
+              lambda: [kernel_multiplexor(n, rng)])
+    picks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=6))
+    return [g for pick in picks for g in makers[pick]()]
 
 
 @settings(PROPERTY, max_examples=60)

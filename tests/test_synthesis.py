@@ -20,7 +20,7 @@ from qcapprox.linalg import eig_unitary, gram_schmidt
 from qcapprox.metrics import weak_two_norm
 from qcapprox.synthesis import BRANCH_TOL, IDENTITY_GATE_TOL, _prepare_gates
 from qcapprox.tensor import DomainError
-from helpers import haar_unitary, random_state, traced_peak
+from helpers import branch_gates, haar_unitary, random_state, traced_peak
 
 
 def test_prepare_zero_state_is_empty():
@@ -53,8 +53,10 @@ def test_prepare_random_states_exact_with_count_bounds():
                 isinstance(g, ControlledGate) for g in report.circuit.gates
             )
             assert controlled <= (1 << n) - 1
+            branches = sum(len(g.pattern) for g in report.circuit.gates if isinstance(g, ControlledGate))
+            assert branches <= (1 << n) - 1
             assert report.two_qubit_equiv <= n * (1 << n)
-            assert report.primitive_count == len(report.circuit.gates)
+            assert report.primitive_count == len(branch_gates(report.circuit.gates))
 
 
 def test_prepare_sparse_state_skips_dead_branches():
@@ -114,7 +116,7 @@ def test_prepare_gates_match_recursive_reference():
             assert len(_prepare_gates(StateVec.basis(n, b).amps, n)) == bin(b).count("1")
             states.append(StateVec.basis(n, b))
     for u in states:
-        got = _prepare_gates(u.amps, u.n)
+        got = branch_gates(_prepare_gates(u.amps, u.n))
         want = _reference_prepare_gates(u.amps, u.n)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -126,10 +128,14 @@ def test_prepare_gates_match_recursive_reference():
 
 
 def _assert_passes_public_checks(circuit):
-    """The circuit, re-validated by Circuit, and each gate by its constructor;
-    every matrix read-only."""
+    """The circuit, re-validated by Circuit, and each gate and each branch
+    by its constructor; every matrix and pattern array read-only."""
     Circuit(circuit.n, circuit.gates)
     for g in circuit.gates:
+        if isinstance(g, ControlledGate):
+            ControlledGate.multiplexor(g.wires, g.target, g.pattern, g.stack)
+            assert not g.pattern.flags.writeable
+    for g in branch_gates(circuit.gates):
         if isinstance(g, LocalGate):
             LocalGate(g.positions, g.matrix)
         elif isinstance(g, ControlledGate):

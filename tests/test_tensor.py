@@ -1,3 +1,4 @@
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -89,6 +90,25 @@ def test_gate_validation():
         ControlledGate(((1, 0),), 1, X)  # control hits target
     with pytest.raises(DomainError):
         Circuit(2, (LocalGate((5,), X),))  # out of range
+    stack = np.array([X, X, X])
+    ControlledGate.multiplexor((0, 2), 1, [3, 0, 1], stack)
+    for wires, target, pattern, matrices in (
+        ((0, 2), 1, [3, 0, 3], stack),  # a repeated pattern
+        ((0, 2), 1, [3, 0, 4], stack),  # a pattern >= 2**c
+        ((0, 2), 1, [3, 0, -1], stack),
+        ((0, 2), 1, [3.0, 0.0, 1.0], stack),
+        ((0, 2), 1, [], stack[:0]),
+        ((0, 2), 1, [3, 0, 1], np.array([X, [[1, 1], [0, 1]], X])),  # a non-unitary entry
+        ((0, 2), 1, [3, 0, 1], np.array([X, X, [[np.nan, 0], [0, 1]]])),
+        ((0, 2), 1, [3, 0, 1], stack[:2]),  # fewer matrices than patterns
+        ((0, 2), 1, [3, 0], stack),  # more
+        ((0, 2), 1, [3], X),
+        ((0, 1), 1, [3, 0, 1], stack),  # control hits target
+        ((0, -2), 1, [3, 0, 1], stack),
+        (tuple(range(2, 65)), 0, [0, 1, 2], stack),  # too many controls
+    ):
+        with pytest.raises(DomainError):
+            ControlledGate.multiplexor(wires, target, pattern, matrices)
 
 
 def test_embed_x_on_qubit_one():
@@ -146,7 +166,7 @@ def test_controlled_gate_polarity():
 
 def test_runs_cut_at_each_repeated_pattern():
     # gates on one target and control sequence commute only while their
-    # polarity patterns are distinct; each repeat starts a new step
+    # polarity patterns are distinct; each one-branch gate is its own step
     rng = np.random.default_rng(31)
     n, qubits = 4, (3, 0, 2)
     for patterns in ([5, 5, 5], [1, 6, 1, 6], [0, 2, 7, 2, 0], [3, 4, 3, 3, 4, 1, 4]):
@@ -172,17 +192,17 @@ def _chunked_gates(n, rng):
     - lone controlled gates, one-gate steps on the view their controls
       select: under a control on qubit 7 (4 / 64 slabs), under controls 0
       and 5 (2 / 32 slabs);
-    - runs: 4 gates under controls 2 and 4, one gate per piece, and 16
-      under controls 0-3, two gates per piece at B = 1 (8 / 128 pieces
-      each);
+    - multi-branch gates: 4 branches under controls 2 and 4, one branch
+      per piece, and 16 under controls 0-3, two branches per piece at
+      B = 1 (8 / 128 pieces each);
     - a controlled gate without controls and phase-on-zero."""
     u = lambda g: haar_unitary(1 << g, rng)  # noqa: E731
     gates = [LocalGate(pos, u(len(pos))) for pos in
              ((0,), (1, 2), (5,), (4, 5), (1,), (7,), (7, 6, 5), (0, 7), (2, 7, 4))]
     gates.append(ControlledGate(((7, 1),), 3, u(1)))
     gates.append(ControlledGate(((0, 0), (5, 1)), 6, u(1)))
-    gates += [ControlledGate(((2, b & 1), (4, b >> 1)), 6, u(1)) for b in range(4)]
-    gates += [ControlledGate(tuple((q, (b >> q) & 1) for q in range(4)), 5, u(1)) for b in range(16)]
+    gates.append(ControlledGate.multiplexor((2, 4), 6, range(4), np.array([u(1) for _ in range(4)])))
+    gates.append(ControlledGate.multiplexor(range(4), 5, range(16), np.array([u(1) for _ in range(16)])))
     gates += [ControlledGate((), 4, u(1)), PhaseOnZero(0.7)]
     return gates
 
@@ -277,7 +297,7 @@ def test_apply_peak_memory_and_result_layout():
 def test_kernel_peak_memory_is_block_plus_scratch():
     # A dense matrix at n=8 holds the matrix and one scratch, a quarter of
     # a matrix; a mixed circuit at n=20 holds the input copy, one scratch
-    # of a 32nd of a state, and for its run step half a scratch of
+    # of a 32nd of a state, and for its multi-branch step half a scratch of
     # gathered pairs.
     rng = np.random.default_rng(16)
     n = 8
@@ -290,7 +310,7 @@ def test_kernel_peak_memory_is_block_plus_scratch():
         LocalGate((0, 1), u(2)), LocalGate((9,), u(1)), LocalGate((19, 18, 17), u(3)),
         LocalGate((3, 12, 19), u(3)), ControlledGate(((19, 1),), 4, u(1)),
         ControlledGate(((2, 0), (11, 1)), 7, u(1)),
-        *(ControlledGate(((5, b & 1), (6, b >> 1)), 15, u(1)) for b in range(4)),
+        ControlledGate.multiplexor((5, 6), 15, range(4), np.array([u(1) for _ in range(4)])),
         ControlledGate((), 10, u(1)), PhaseOnZero(0.4),
     ))
     s = random_state(n, rng)
@@ -461,7 +481,8 @@ def test_measure_prefix_coarsening():
 def test_measure_prefix_sums_in_scratch_sized_chunks():
     # At n=20 the squares are summed in rows (l = 1, 4, 10) or column ranges
     # (l = 19, 20) of one scratch, never squared into an array of the
-    # state's length; the sums are those of squaring the whole state.
+    # state's length; the sums are those of squaring the whole state,
+    # exactly rounded.
     rng = np.random.default_rng(23)
     n = 20
     s = random_state(n, rng)
@@ -469,8 +490,24 @@ def test_measure_prefix_sums_in_scratch_sized_chunks():
         dist, peak = traced_peak(lambda: measure_prefix(s, l))
         if l <= 10:
             assert peak <= 16 * _scratch_amps(1 << n) + (64 << 10)
-        want = (np.abs(s.amps) ** 2).reshape(-1, 1 << l).sum(axis=0)
+        want = [math.fsum(col) for col in (np.abs(s.amps) ** 2).reshape(-1, 1 << l).T.tolist()]
         assert np.abs(dist.probs - want).max() <= 1e-14
+
+
+def test_measure_prefix_adds_chunk_sums():
+    # A few outcomes over many chunks (32 to 512 at n=20, 8 to 128 at
+    # n=18): each chunk is reduced on its own before its sum is added, so
+    # every probability stays within 16 ulps of the exactly rounded sum: 9
+    # at most on 12 other seeded states of these sizes, where adding each
+    # chunk's rows into the running sums one row at a time was 31 to 282
+    # ulps off.
+    rng = np.random.default_rng(29)
+    for n in (18, 20):
+        s = random_state(n, rng)
+        for l in (1, 2, 4, 5):
+            want = [math.fsum(col) for col in (np.abs(s.amps) ** 2).reshape(-1, 1 << l).T.tolist()]
+            got = measure_prefix(s, l).probs
+            assert np.abs(got - want).max() <= 16 * np.spacing(max(want))
 
 
 def test_distribution_validation():
@@ -495,6 +532,12 @@ def test_default_cost_model():
     cost = c.cost()
     assert cost.primitive_count == 2
     assert cost.two_qubit_equiv == 1 + 4
+    # a controlled gate costs max(1, controls) per branch, and counts once per branch
+    mux = ControlledGate.multiplexor((0, 2, 4), 3, [1, 6, 0], np.array([X, X, X]))
+    assert default_gate_cost(mux, n) == 9
+    assert default_gate_cost(ControlledGate.multiplexor((), 3, [0], X[None]), n) == 1
+    cost = Circuit(n, (mux, PhaseOnZero(1.0))).cost()
+    assert cost.primitive_count == 4 and cost.two_qubit_equiv == 9 + 25
 
 
 def test_circuit_cost_is_the_per_gate_sum():
