@@ -153,10 +153,7 @@ def clipped_fraction(log2_value: float) -> float:
     """Presentation helper: 2**log2_value clipped into [0, 1]."""
     if log2_value >= 0:
         return 1.0
-    try:
-        return 2.0**log2_value
-    except OverflowError:
-        return 0.0
+    return 2.0**log2_value
 
 
 def crossover_b(

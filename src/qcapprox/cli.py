@@ -84,6 +84,13 @@ def _emit_state(state: StateVec, out: str | None) -> None:
         sys.stdout.write(fileio.format_state(state))
 
 
+def _require(args, what: str, flags) -> None:
+    """Refuse a run that lacks any of `flags`, naming every one missing."""
+    missing = [f for f in flags if getattr(args, f) is None]
+    if missing:
+        raise DomainError(f"{what} needs --{' --'.join(missing)}")
+
+
 # ------------------------------------------------------------ subcommands
 
 def _cmd_synth_state(args, out: _Out) -> None:
@@ -114,12 +121,29 @@ def _cmd_apply(args, out: _Out) -> None:
     _emit_state(apply_circuit(circuit, state), args.out)
 
 
+# Metric -> (flags it needs, its value from the two operands and the parsed
+# arguments). tv-states compares two states, every other metric two matrices
+# of equal shape. The metrics functions are looked up when a row runs, so a
+# wrapper installed on the metrics module is the one that runs.
+_METRICS = {
+    "frobenius": ((), lambda a, b, args: metrics.frobenius_norm(a - b)),
+    "two": ((), lambda a, b, args: metrics.two_norm(a - b)),
+    "weak2": (("k",), lambda a, b, args: metrics.weak_two_norm(a - b, args.k)),
+    "tv-states": (("l",), lambda a, b, args: metrics.tv_states(a, b, args.l)),
+    "tv-ops": (("l", "k"), lambda a, b, args: metrics.tv_operators(a, b, args.l, args.k)),
+}
+
+
 def _cmd_dist(args, out: _Out) -> None:
-    kind = metrics.MetricKind(args.metric, l=args.l, k=args.k)
+    flags, distance = _METRICS[args.metric]
+    _require(args, f"metric {args.metric}", flags)
     if args.metric == "tv-states":
-        value = kind.between_states(fileio.read_state(args.a), fileio.read_state(args.b))
+        a, b = fileio.read_state(args.a), fileio.read_state(args.b)
     else:
-        value = kind.between_matrices(_load_matrix(args.a), _load_matrix(args.b))
+        a, b = _load_matrix(args.a), _load_matrix(args.b)
+        if a.shape != b.shape:
+            raise DomainError(f"need matrices of equal shape, got {a.shape} and {b.shape}")
+    value = distance(a, b, args)
     out.row(["metric", "l", "k", "value"], [args.metric, args.l or "-", args.k or "-", value])
 
 
@@ -144,16 +168,11 @@ def _cmd_net(args, out: _Out) -> None:
 
 def _cmd_mc(args, out: _Out) -> None:
     stream = RngStream(args.seed if args.seed is not None else 0, args.stream)
-    if args.experiment == "sphere-ball":
-        if args.m is None:
-            raise DomainError("sphere-ball needs --m")
-        est = mc_sphere_cap(args.eps, args.m, args.samples, stream)
-        dim = args.m
-    else:
-        if args.N is None:
-            raise DomainError("simplex-ball needs --N")
-        est = mc_simplex_ball(args.eps, args.N, args.samples, stream)
-        dim = args.N
+    sphere = args.experiment == "sphere-ball"
+    flag = "m" if sphere else "N"
+    _require(args, args.experiment, (flag,))
+    dim = getattr(args, flag)
+    est = (mc_sphere_cap if sphere else mc_simplex_ball)(args.eps, dim, args.samples, stream)
     out.row(
         ["experiment", "dim", "eps", "samples", "seed", "stream",
          "estimate", "std_error", "bound", "pass"],
@@ -210,9 +229,7 @@ def _sweep_values(spec: str):
 
 def _cmd_bounds(args, out: _Out) -> None:
     params, flags, fn_name = _TABLES[args.table]
-    missing = [f for f in params if getattr(args, f) is None]
-    if missing:
-        raise DomainError(f"{args.table} needs --{' --'.join(missing)}")
+    _require(args, args.table, params)
 
     swept, vals = None, [None]
     if args.sweep:
@@ -275,8 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_apply)
 
     p = sub.add_parser("dist", parents=[common], help="distance between states or operators")
-    p.add_argument("--metric", required=True,
-                   choices=["frobenius", "two", "weak2", "tv-states", "tv-ops"])
+    p.add_argument("--metric", required=True, choices=list(_METRICS))
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--l", type=int, default=None)
@@ -302,8 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_mc)
 
     p = sub.add_parser("bounds", parents=[common], help="closed-form bound tables")
-    p.add_argument("--table", required=True,
-                   choices=["thm34", "thm41", "thm45", "thm51", "thm53"])
+    p.add_argument("--table", required=True, choices=list(_TABLES))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)

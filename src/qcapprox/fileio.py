@@ -310,11 +310,7 @@ def parse_circuit(text: str) -> Circuit:
         row += 1
     gates = tuple(_trusted(ControlledGate, wires=g[0], target=g[1], pattern=patterns[g[2]:g[3]],
                            stack=stack[g[2]:g[3]]) if type(g) is list else g for g in merged)
-    wires = [q for q, _ in fields.pairs.values()] + [t for _, _, t in ctrl]
-    wires += [max(s.positions) for s in specs if isinstance(s, LocalGate)]
-    if max(wires, default=0) >= n:
-        return Circuit(n, gates)  # raises the range error of the first such gate
-    return _trusted(Circuit, n=n, gates=gates)
+    return Circuit(n, gates)  # raises the range error of the first gate beyond n
 
 
 # ------------------------------------------------------------- raw matrices

@@ -7,8 +7,6 @@ the first l bits can see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -68,40 +66,3 @@ def tv_operators(u, v, l: int, k: int) -> float:
     if not 1 <= k <= dim:
         raise DomainError(f"k={k} out of range [1, {dim}]")
     return max(tv_states(_column_state(um, b), _column_state(vm, b), l) for b in range(k))
-
-
-@dataclass(frozen=True)
-class MetricKind:
-    """Named metric selector used by the command-line interface."""
-
-    tag: str  # frobenius | two | weak2 | tv-states | tv-ops
-    l: int | None = None
-    k: int | None = None
-
-    def __post_init__(self):
-        tags = ("frobenius", "two", "weak2", "tv-states", "tv-ops")
-        if self.tag not in tags:
-            raise DomainError(f"unknown metric {self.tag!r}, expected one of {tags}")
-        if self.tag in ("weak2", "tv-ops") and self.k is None:
-            raise DomainError(f"metric {self.tag} needs k")
-        if self.tag in ("tv-states", "tv-ops") and self.l is None:
-            raise DomainError(f"metric {self.tag} needs l")
-
-    def between_matrices(self, a, b) -> float:
-        if self.tag == "tv-states":
-            raise DomainError(f"metric {self.tag} compares states, not matrices")
-        a, b = np.asarray(a), np.asarray(b)
-        if a.shape != b.shape:
-            raise DomainError(f"need matrices of equal shape, got {a.shape} and {b.shape}")
-        if self.tag == "tv-ops":
-            return tv_operators(a, b, self.l, self.k)
-        if self.tag == "frobenius":
-            return frobenius_norm(a - b)
-        if self.tag == "two":
-            return two_norm(a - b)
-        return weak_two_norm(a - b, self.k)
-
-    def between_states(self, u: StateVec, v: StateVec) -> float:
-        if self.tag != "tv-states":
-            raise DomainError(f"metric {self.tag} compares matrices, not states")
-        return tv_states(u, v, self.l)

@@ -26,6 +26,7 @@ from .tensor import (
     LocalGate,
     PhaseOnZero,
     StateVec,
+    _check_sim_cap,
     _trusted,
     apply_circuit,
     basis_columns,
@@ -124,8 +125,10 @@ def prepare_state(u: StateVec) -> SynthesisReport:
     bits, one conditioned rotation of qubit l-1 per surviving branch
     pattern of the first l-1 bits; the last level installs the target
     amplitudes, phases included. At most n gates come out, one per level,
-    with at most 2**n - 1 branches in all.
+    with at most 2**n - 1 branches in all. A register above the simulation
+    cap is refused before any level is built.
     """
+    _check_sim_cap(u.n)
     circuit = _trusted(Circuit, n=u.n, gates=tuple(_prepare_gates(u.amps, u.n)))
     out = apply_circuit(circuit, StateVec.zero(u.n))
     residual = float(np.linalg.norm(out.amps - u.amps))
@@ -178,9 +181,11 @@ def synthesize_transitive(targets: OrthoSeq) -> SynthesisReport:
     extended (through its transpose) to a d x d unitary with at least
     d - k unit eigenvalues; each remaining eigenpair (exp(i w), y)
     contributes the factor P_x I_w P_x^dagger where P_x prepares x = q y.
-    At most k phase-on-zero gates are emitted.
+    At most k phase-on-zero gates are emitted. A register above the
+    simulation cap is refused before any of this starts.
     """
     n, k = targets.n, targets.k
+    _check_sim_cap(n)
     rows = np.array([s.amps for s in targets.states])  # row i = u_i (transposed columns)
     tail = np.linalg.qr(rows[:, k:].T)[0]
     q = np.zeros((rows.shape[1], k + tail.shape[1]), dtype=complex)

@@ -19,7 +19,7 @@ import numpy as np
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-9
 
-# Full matrices above this register size are refused by default.
+# Full matrices above this register size are refused.
 DENSE_QUBIT_CAP = 10
 # State-only simulation cap: 2**24 amplitudes, 256 MiB of complex128.
 # apply_circuit holds the input, the copy that every gate updates in place
@@ -67,7 +67,7 @@ def _unit_amps(amps: np.ndarray) -> np.ndarray:
     """`amps` itself, made read-only, after checking that its norm is 1."""
     norm = np.linalg.norm(amps)
     if not abs(norm - 1.0) <= NORM_TOL:
-        raise DomainError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL:.0e}")
+        raise DomainError(f"state norm {float(norm)!r} deviates from 1 beyond {NORM_TOL:.0e}")
     amps.flags.writeable = False
     return amps
 
@@ -115,11 +115,11 @@ class Distribution:
         if p.shape != (1 << self.l,):
             raise DomainError(f"expected {1 << self.l} probabilities, got shape {p.shape}")
         if p.min() < -1e-12:
-            raise DomainError(f"negative probability {p.min()!r}")
+            raise DomainError(f"negative probability {float(p.min())!r}")
         np.clip(p, 0.0, None, out=p)
         total = p.sum()
         if not abs(total - 1.0) <= NORM_TOL:
-            raise DomainError(f"probabilities sum to {total!r}, not 1")
+            raise DomainError(f"probabilities sum to {float(total)!r}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -337,9 +337,9 @@ class Circuit:
         )
 
 
-def embed_gate(gate: Gate, n: int, dense_cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def embed_gate(gate: Gate, n: int) -> np.ndarray:
     """Full 2**n x 2**n unitary of a single gate on an n-qubit register."""
-    return circuit_to_matrix(Circuit(n, (gate,)), dense_cap)
+    return circuit_to_matrix(Circuit(n, (gate,)))
 
 
 def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
@@ -503,14 +503,19 @@ def _apply_step(t: np.ndarray, n: int, controls, positions, stack: np.ndarray, p
             sub[pairs] = np.einsum("gij,gj...->gi...", m, sub[pairs], out=out)
 
 
+def _check_sim_cap(n: int) -> None:
+    """Refuse a register above SIM_QUBIT_CAP qubits, before anything is allocated for it."""
+    if n > SIM_QUBIT_CAP:
+        raise DomainError(f"simulation capped at {SIM_QUBIT_CAP} qubits, got {n}")
+
+
 def basis_columns(circuit: Circuit, inputs) -> np.ndarray:
     """Columns `inputs` of the circuit's unitary: column j is the circuit
     applied to the basis state |inputs[j]>. All columns run through the
     gates together, and no 2**n x 2**n matrix is formed unless every
     column is asked for."""
     n = circuit.n
-    if n > SIM_QUBIT_CAP:
-        raise DomainError(f"simulation capped at {SIM_QUBIT_CAP} qubits, got {n}")
+    _check_sim_cap(n)
     inputs = np.asarray(inputs, dtype=np.int64)
     if inputs.size and not (0 <= inputs.min() and inputs.max() < 1 << n):
         raise DomainError(f"basis inputs must lie in [0, {1 << n})")
@@ -524,19 +529,18 @@ def apply_circuit(circuit: Circuit, state: StateVec) -> StateVec:
     full 2**n x 2**n matrix is ever formed."""
     if circuit.n != state.n:
         raise DomainError(f"circuit on {circuit.n} qubits, state on {state.n}")
-    if circuit.n > SIM_QUBIT_CAP:
-        raise DomainError(f"simulation capped at {SIM_QUBIT_CAP} qubits, got {circuit.n}")
+    _check_sim_cap(circuit.n)
     amps = _run_gates(circuit.gates, circuit.n, state.amps.reshape(-1, 1).copy())
     # The kernel's column has the state's length and dtype: it is frozen in
     # place, without the copy StateVec makes of outside arrays.
     return _trusted(StateVec, n=circuit.n, amps=_unit_amps(amps[:, 0]))
 
 
-def circuit_to_matrix(circuit: Circuit, dense_cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the circuit: the gates applied to the identity,
     O(gates * 4**n)."""
-    if circuit.n > dense_cap:
-        raise DomainError(f"dense matrix for n={circuit.n} exceeds cap {dense_cap}")
+    if circuit.n > DENSE_QUBIT_CAP:
+        raise DomainError(f"dense matrix for n={circuit.n} exceeds cap {DENSE_QUBIT_CAP}")
     return basis_columns(circuit, range(1 << circuit.n))
 
 

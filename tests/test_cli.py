@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcapprox import __version__, cli, fileio
+from qcapprox import __version__, cli, fileio, metrics
 from qcapprox.cli import _sweep_values, main
 from qcapprox.fileio import (
     format_matrix,
@@ -12,7 +12,7 @@ from qcapprox.fileio import (
     write_state,
 )
 from qcapprox.measure import sample_haar_state
-from qcapprox.problems import DecisionProblem
+from qcapprox.problems import DecisionProblem, GuessProblem
 from qcapprox.synthesis import prepare_state
 from qcapprox.tensor import Circuit, DomainError, StateVec
 from helpers import haar_unitary, random_state
@@ -111,6 +111,60 @@ def test_dist_circuit_vs_matrix_file(tmp_path, capsys):
     )
     assert code == 0
     assert float(out.splitlines()[-1].split(",")[-1]) <= 1e-7
+
+
+def test_dist_prints_each_metric_value(tmp_path, capsys):
+    """Each metric's value row holds exactly what its metrics function returns."""
+    rng = np.random.default_rng(13)
+    u, v = haar_unitary(8, rng), haar_unitary(8, rng)
+    su, sv = random_state(3, rng), random_state(3, rng)
+    fu, fv, fsu, fsv = (tmp_path / name for name in ("u.mat", "v.mat", "u.qstate", "v.qstate"))
+    fu.write_text(format_matrix(u))
+    fv.write_text(format_matrix(v))
+    write_state(fsu, su)
+    write_state(fsv, sv)
+    matrices, states = ["--a", str(fu), "--b", str(fv)], ["--a", str(fsu), "--b", str(fsv)]
+    cases = [
+        ("frobenius", matrices, [], "-", "-", metrics.frobenius_norm(u - v)),
+        ("two", matrices, [], "-", "-", metrics.two_norm(u - v)),
+        ("weak2", matrices, ["--k", "3"], "-", "3", metrics.weak_two_norm(u - v, 3)),
+        ("tv-states", states, ["--l", "2"], "2", "-", metrics.tv_states(su, sv, 2)),
+        ("tv-ops", matrices, ["--l", "2", "--k", "3"], "2", "3", metrics.tv_operators(u, v, 2, 3)),
+    ]
+    for metric, files, flags, l, k, value in cases:
+        code, out, _ = run(capsys, "dist", "--metric", metric, *files, *flags)
+        assert code == 0, metric
+        assert out.splitlines()[1:] == ["metric,l,k,value", f"{metric},{l},{k},{value:.17g}"]
+
+
+def test_missing_flags_refused_before_any_file_is_read(capsys):
+    """dist, mc and bounds name every missing flag; the files of a dist run
+    are not opened, so the run exits 1, not 2 for the missing files."""
+    missing = ["--a", "/nonexistent/a", "--b", "/nonexistent/b"]
+    cases = [
+        (["dist", "--metric", "weak2", *missing], "metric weak2 needs --k"),
+        (["dist", "--metric", "tv-states", *missing], "metric tv-states needs --l"),
+        (["dist", "--metric", "tv-ops", *missing, "--l", "1"], "metric tv-ops needs --k"),
+        (["dist", "--metric", "tv-ops", *missing], "metric tv-ops needs --l --k"),
+        (["mc", "--experiment", "sphere-ball", "--eps", "0.5", "--samples", "10"],
+         "sphere-ball needs --m"),
+        (["mc", "--experiment", "simplex-ball", "--eps", "0.5", "--samples", "10"],
+         "simplex-ball needs --N"),
+        (["bounds", "--table", "thm41", "--n", "6", "--k", "4", "--g", "2", "--b", "4"],
+         "thm41 needs --eps --alpha"),
+    ]
+    for argv, text in cases:
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (1, f"error: {text}\n"), argv
+
+
+def test_unknown_metric_or_table_refused_by_the_parser(capsys):
+    for argv in (["dist", "--metric", "spectral", "--a", "a", "--b", "b"],
+                 ["bounds", "--table", "thm99", "--n", "3"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_synth_unitary(tmp_path, capsys):
@@ -235,6 +289,12 @@ def test_advantage_flow(tmp_path, capsys):
     assert float(table["p_star"]) == 1.0
     assert table["q"] == "1"
 
+    pf.write_text(format_problem(GuessProblem(2, {b: b for b in range(4)})))
+    code, out, _ = run(capsys, "advantage", "--circuit", str(cf), "--problem", str(pf))
+    assert code == 0
+    table = dict(zip(out.splitlines()[1].split(","), out.splitlines()[2].split(",")))
+    assert table == {"kind": "guess", "p_star": "1", "q": "1"}
+
 
 IDENTITY = "1:0 0:0 0:0 1:0"
 DEFECT = "2:0 0:0 0:0 1:0"
@@ -283,6 +343,16 @@ def test_exit_code_domain_error(tmp_path, capsys):
         thm51 + ["--q", "4", "--sweep", "b=2:1000000000000000000:1"],
         thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "eps=0.1:inf:0.1"],
         thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "k=1:x:1"],
+        thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "b2:10:1"],  # no '='
+        thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "b=2:10:0"],
+        thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "l=1:3:1"],  # not a thm41 parameter
+        ["net", "--g", "1", "--delta", "1"],  # none of --count, --point, --nearest
+        ["mc", "--experiment", "sphere-ball", "--eps", "0.5", "--samples", "10"],
+        ["mc", "--experiment", "simplex-ball", "--eps", "0.25", "--samples", "10"],
+        ["dist", "--metric", "weak2", "--a", str(one_qubit), "--b", str(one_qubit)],
+        ["dist", "--metric", "tv-ops", "--a", str(one_qubit), "--b", str(one_qubit), "--l", "1"],
+        ["dist", "--metric", "tv-ops", "--a", str(one_qubit), "--b", str(one_qubit), "--k", "1"],
+        ["dist", "--metric", "tv-states", "--a", str(one_qubit), "--b", str(one_qubit)],
         # circuit files: the first bad line decides
         _circuit_file(tmp_path, "nonunitary_first", f"ctrl 0:1 1 {DEFECT}", "warp 0"),
         _circuit_file(tmp_path, "nan", f"ctrl 0:1 1 nan:0 0:0 0:0 1:0"),
@@ -346,6 +416,13 @@ def test_exit_code_undecodable_file(tmp_path, capsys):
     assert "error:" in err
     code, _, err = run(capsys, "dist", "--metric", "two", "--a", str(bad), "--b", str(bad))
     assert code == 2
+
+
+def test_nan_state_error_prints_a_python_float(tmp_path, capsys):
+    nan_state = tmp_path / "nan.qstate"
+    nan_state.write_text("qstate v1\nn=1\nnan 0\n1 0\n")
+    code, _, err = run(capsys, "synth-state", "--state", str(nan_state))
+    assert (code, err) == (1, "error: state norm nan deviates from 1 beyond 1e-09\n")
 
 
 def test_zero_state_needs_n(capsys, tmp_path):

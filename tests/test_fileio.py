@@ -65,6 +65,8 @@ def test_state_parse_errors():
         parse_state("qstate v1\nn=1\n1 0\n")  # missing line
     with pytest.raises(ParseError):
         parse_state("qstate v1\nn=1\n1 0 0\n0 0\n")  # 3 tokens
+    with pytest.raises(ParseError, match="bad amplitude line '1 x'"):
+        parse_state("qstate v1\nn=1\n1 x\n0 0\n")  # two tokens, one not a number
     with pytest.raises(ParseError):
         parse_state("qstate v1\nn=x\n1 0\n0 0\n")
     with pytest.raises(ParseError):

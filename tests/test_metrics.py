@@ -3,7 +3,6 @@ import pytest
 
 from qcapprox.linalg import svd
 from qcapprox.metrics import (
-    MetricKind,
     frobenius_norm,
     tv_operators,
     tv_states,
@@ -196,26 +195,3 @@ def test_metric_triangle_and_symmetry():
         su, sv, sw = (random_state(n, rng) for _ in range(3))
         assert abs(tv_states(su, sv, l) - tv_states(sv, su, l)) < 1e-12
         assert tv_states(su, sw, l) <= tv_states(su, sv, l) + tv_states(sv, sw, l) + 1e-10
-
-
-def test_metric_kind_dispatch():
-    rng = np.random.default_rng(11)
-    u = haar_unitary(4, rng)
-    v = haar_unitary(4, rng)
-    assert MetricKind("frobenius").between_matrices(u, v) == frobenius_norm(u - v)
-    assert MetricKind("two").between_matrices(u, v) == two_norm(u - v)
-    assert MetricKind("weak2", k=2).between_matrices(u, v) == weak_two_norm(u - v, 2)
-    assert MetricKind("tv-ops", l=1, k=2).between_matrices(u, v) == tv_operators(u, v, 1, 2)
-    su, sv = random_state(2, rng), random_state(2, rng)
-    assert MetricKind("tv-states", l=1).between_states(su, sv) == tv_states(su, sv, 1)
-
-
-def test_metric_kind_validation():
-    with pytest.raises(DomainError):
-        MetricKind("spectral")
-    with pytest.raises(DomainError):
-        MetricKind("weak2")  # missing k
-    with pytest.raises(DomainError):
-        MetricKind("tv-ops", k=1)  # missing l
-    with pytest.raises(DomainError):
-        MetricKind("frobenius").between_states(StateVec.zero(1), StateVec.zero(1))

@@ -16,6 +16,7 @@ from qcapprox import (
     prepare_state,
     synthesize_transitive,
 )
+from qcapprox import synthesis, tensor
 from qcapprox.linalg import eig_unitary, gram_schmidt
 from qcapprox.metrics import weak_two_norm
 from qcapprox.synthesis import BRANCH_TOL, IDENTITY_GATE_TOL, _prepare_gates
@@ -179,6 +180,25 @@ def test_prepare_exact_global_phase():
 def test_prepare_rejects_unnormalized():
     with pytest.raises(DomainError):
         StateVec(1, np.array([1.0, 1.0]))
+
+
+def test_synthesis_refuses_beyond_the_simulation_cap_first(monkeypatch):
+    """A register above the cap is refused before any cascade, QR, SVD or
+    Schur step runs, with the simulation cap's own message."""
+
+    def never(*args):
+        raise AssertionError("work started before the cap was checked")
+
+    u = haar_unitary(32, np.random.default_rng(12))
+    seq = OrthoSeq(5, (StateVec(5, u[:, 0]), StateVec(5, u[:, 1])))
+    monkeypatch.setattr(tensor, "SIM_QUBIT_CAP", 4)
+    for name in ("_prepare_gates", "extend_to_unitary"):
+        monkeypatch.setattr(synthesis, name, never)
+    monkeypatch.setattr(np.linalg, "qr", never)
+    with pytest.raises(DomainError, match="simulation capped at 4 qubits, got 5"):
+        prepare_state(seq.states[0])
+    with pytest.raises(DomainError, match="simulation capped at 4 qubits, got 5"):
+        synthesize_transitive(seq)
 
 
 def test_extend_identity_rows():

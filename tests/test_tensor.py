@@ -521,6 +521,27 @@ def test_distribution_validation():
     assert d.probs[1] == 0.0
 
 
+def test_validation_errors_print_python_floats():
+    cases = [
+        (lambda: StateVec(1, np.array([np.nan, 1.0])),
+         "state norm nan deviates from 1 beyond 1e-09"),
+        (lambda: StateVec(1, np.array([2.0, 0.0])),
+         "state norm 2.0 deviates from 1 beyond 1e-09"),
+        (lambda: Distribution(1, np.array([-0.5, 1.5])), "negative probability -0.5"),
+        (lambda: Distribution(1, np.array([0.2, 0.2])), "probabilities sum to 0.4, not 1"),
+    ]
+    for build, text in cases:
+        with pytest.raises(DomainError) as info:
+            build()
+        assert str(info.value) == text
+
+
+def test_circuit_to_matrix_refuses_beyond_dense_cap():
+    assert tensor.DENSE_QUBIT_CAP == 10
+    with pytest.raises(DomainError, match="dense matrix for n=11 exceeds cap 10"):
+        circuit_to_matrix(Circuit(11, ()))
+
+
 def test_default_cost_model():
     n = 5
     assert default_gate_cost(LocalGate((0, 1), haar_unitary(4, np.random.default_rng(0))), n) == 1
