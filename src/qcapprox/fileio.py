@@ -6,13 +6,11 @@ bit i of the numeral is qubit i.
 
 Numbers are converted by one `float` map per line (per file for states
 and raw matrices) and printed by one `%`-format per gate (per file for
-states and raw matrices). A controlled gate is written as one `ctrl` line
-per branch. Reading merges consecutive `ctrl` lines with the same control
-qubits, in the same order, and the same target into one gate until a
-polarity pattern repeats; a line without controls is a gate of its own.
-The 2x2 matrices of a circuit's `ctrl` lines are checked for unitarity as
-one stack; errors still come from the first bad line, in the order of the
-per-line checks.
+states and raw matrices). A circuit file holds one line per gate. A
+controlled gate of G branches is one `mux` line: its control wires (`-`
+if none), its target, G comma-separated patterns (bit j of a pattern's
+numeral is wires[j]) and its (G, 2, 2) stack, row-major. A `ctrl` line,
+one branch given by q:p control pairs, is still read as a gate of its own.
 """
 
 from __future__ import annotations
@@ -23,24 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .problems import DecisionProblem, GuessProblem
-from .tensor import (
-    Circuit,
-    ControlledGate,
-    DomainError,
-    LocalGate,
-    PhaseOnZero,
-    StateVec,
-    _check_controls,
-    _check_unitary,
-    _check_wires,
-    _trusted,
-)
+from .tensor import Circuit, ControlledGate, DomainError, LocalGate, PhaseOnZero, StateVec
 
 STATE_MAGIC = "qstate v1"
 CIRCUIT_MAGIC = "qcircuit v1"
-# Control field of a ctrl line with no controls.
+# Wires field of a mux or ctrl line with no controls.
 NO_CONTROLS = "-"
-_NO_FIELD = ((), 0)  # its wires and pattern
 PROBLEM_MAGIC = "qproblem v1"
 
 # One complex entry, written as re:im.
@@ -49,18 +35,6 @@ _ENTRY = "%.17g:%.17g"
 
 class ParseError(ValueError):
     """Malformed file content."""
-
-
-class _Memo(dict):
-    """fn(key), computed on first lookup and kept for the rest of one call."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 def _floats(a: np.ndarray) -> tuple:
@@ -155,27 +129,21 @@ def parse_state(text: str) -> StateVec:
 
 # -------------------------------------------------------------- circuits
 
-def _ctrl_lines(gate: ControlledGate, wire_texts: _Memo, entries: str) -> str:
-    """The ctrl lines of a gate's branches in stack order, one `%`-format
-    for all of them. wire_texts[wires] lists ("q:0", "q:1") per control
-    qubit q, and `entries` is the template of four entries."""
-    pairs = wire_texts[gate.wires]
-    tail = f" {gate.target} {entries}"
-    fields = [",".join([pq[b >> j & 1] for j, pq in enumerate(pairs)]) or NO_CONTROLS
-              for b in gate.pattern.tolist()]
-    return "\n".join(["ctrl " + f + tail for f in fields]) % _floats(gate.stack)
+def _entries(a: np.ndarray) -> str:
+    """The re:im entries of `a`, row-major, by one `%`-format."""
+    return _entries_template(a.size) % _floats(a)
 
 
 def format_circuit(circuit: Circuit) -> str:
-    templates = _Memo(_entries_template)
-    wire_texts = _Memo(lambda wires: [("%d:0" % q, "%d:1" % q) for q in wires])
     lines = [CIRCUIT_MAGIC, f"n={circuit.n}"]
     for gate in circuit.gates:
         if isinstance(gate, ControlledGate):
-            lines.append(_ctrl_lines(gate, wire_texts, templates[4]))
+            digits = "0%db" % len(gate.wires)
+            patterns = ",".join([format(b, digits) for b in gate.pattern.tolist()])
+            lines.append(f"mux {','.join(map(str, gate.wires)) or NO_CONTROLS} {gate.target} "
+                         f"{patterns} {_entries(gate.stack)}")
         elif isinstance(gate, LocalGate):
-            lines.append(f"local {','.join(map(str, gate.positions))} "
-                         + templates[gate.matrix.size] % _floats(gate.matrix))
+            lines.append(f"local {','.join(map(str, gate.positions))} {_entries(gate.matrix)}")
         elif isinstance(gate, PhaseOnZero):
             lines.append("iw %.17g" % gate.w)
         else:
@@ -193,35 +161,34 @@ def _parse_control(token: str) -> tuple[int, int]:
         raise ParseError(f"bad control token {token!r}") from exc
 
 
-class _ControlFields(dict):
-    """(wires, pattern) of each control field of one file, read once; the
-    pattern is -1 if a polarity is neither 0 nor 1. A field is the field
-    before its last comma plus one q:p token, so the fields of a cascade,
-    which extend their parents' by one pair each, cost one token each. Each
-    q:p token is parsed once, and one wires tuple is shared per
-    control-qubit sequence."""
-
-    def __init__(self):
-        super().__init__()
-        self.pairs = _Memo(_parse_control)
-        self.sequences: dict = {}
-
-    def __missing__(self, text):
-        head, comma, token = text.rpartition(",")
-        wires, pattern = self[head] if comma else _NO_FIELD
-        q, p = self.pairs[token]
-        pattern = pattern | p << len(wires) if pattern >= 0 and p in (0, 1) else -1
-        wires += (q,)
-        field = self[text] = (self.sequences.setdefault(wires, wires), pattern)
-        return field
+def _parse_target(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ParseError(f"bad target in {line!r}") from exc
 
 
-def _parse_line(line: str, fields: _ControlFields, ctrl_values: list[float]):
-    """The gate of one line, or (wires, pattern, target) of a ctrl line,
-    whose entries are appended to ctrl_values once its other checks
-    passed; `fields` reads a control field."""
+def _parse_line(line: str):
+    """The gate of one line, checked in full by its constructor."""
     toks = line.split()
     kind = toks[0]
+    if kind == "mux":
+        if len(toks) < 5:
+            raise ParseError(f"bad mux gate line {line!r}")
+        try:
+            wires = () if toks[1] == NO_CONTROLS else tuple(map(int, toks[1].split(",")))
+        except ValueError as exc:
+            raise ParseError(f"bad wires in {line!r}") from exc
+        target = _parse_target(toks[2], line)
+        numerals = toks[3].split(",")
+        if toks[3].strip("01,") or not all(numerals):
+            raise ParseError(f"bad patterns in {line!r}")
+        values = _entry_values(toks[4:])
+        if len(values) != 8 * len(numerals):
+            raise ParseError(f"expected {4 * len(numerals)} matrix entries for "
+                             f"{len(numerals)} patterns, got {len(values) // 2}")
+        return ControlledGate.multiplexor(wires, target, [int(b, 2) for b in numerals],
+                                          np.array(values).view(complex).reshape(-1, 2, 2))
     if kind == "ctrl":
         if len(toks) == 6:
             # Written by versions that left the control field of a
@@ -229,17 +196,10 @@ def _parse_line(line: str, fields: _ControlFields, ctrl_values: list[float]):
             toks.insert(1, NO_CONTROLS)
         if len(toks) != 7:
             raise ParseError(f"bad ctrl gate line {line!r}")
-        wires, pattern = _NO_FIELD if toks[1] == NO_CONTROLS else fields[toks[1]]
-        try:
-            target = int(toks[2])
-        except ValueError as exc:
-            raise ParseError(f"bad target in {line!r}") from exc
+        controls = [] if toks[1] == NO_CONTROLS else list(map(_parse_control, toks[1].split(",")))
+        target = _parse_target(toks[2], line)
         values = _entry_values(toks[3:])
-        if pattern < 0:  # raises the polarity error, which names the pairs
-            _check_controls(tuple(map(_parse_control, toks[1].split(","))), target)
-        _check_wires(wires, target)
-        ctrl_values += values
-        return wires, pattern, target
+        return ControlledGate(controls, target, np.array(values).view(complex).reshape(2, 2))
     if kind == "local":
         if len(toks) < 3:
             raise ParseError(f"bad local gate line {line!r}")
@@ -263,54 +223,11 @@ def _parse_line(line: str, fields: _ControlFields, ctrl_values: list[float]):
     raise ParseError(f"unknown gate kind {kind!r}")
 
 
-def _ctrl_stack(values: list[float]) -> np.ndarray:
-    """The read-only (G, 2, 2) stack of G ctrl lines' entries, checked for
-    unitarity in one call."""
-    stack = _check_unitary(np.array(values).view(complex).reshape(-1, 2, 2), "gate matrix")
-    stack.flags.writeable = False
-    return stack
-
-
 def parse_circuit(text: str) -> Circuit:
-    """Every line is parsed and checked in order, except for the unitarity
-    of the ctrl matrices: it is checked for the whole stack at the end, or
-    for the lines above the first line that fails, so that the first bad
-    line decides the error as a line-by-line read would. Consecutive ctrl
-    lines with the same control qubits and target form one gate until a
-    pattern repeats; their branches act on disjoint amplitudes."""
+    """One gate per line, each checked in full in file order, so the first
+    bad line decides the error; then the range of every gate against n."""
     n, body = _split_lines(text, CIRCUIT_MAGIC)
-    fields = _ControlFields()
-    values: list[float] = []
-    specs = []
-    for line in body:
-        try:
-            specs.append(_parse_line(line, fields, values))
-        except (ParseError, DomainError):
-            _ctrl_stack(values)  # a non-unitary gate above this line comes first
-            raise
-    ctrl = [s for s in specs if type(s) is tuple]  # (wires, pattern, target) per ctrl line
-    stack = _ctrl_stack(values)
-    patterns = np.array([p for _, p, _ in ctrl], dtype=np.int64)
-    patterns.flags.writeable = False
-    merged: list = []  # gates, and [wires, target, first row, end row] of ctrl lines
-    row, seen = 0, set()  # seen: the patterns of the last gate of ctrl lines
-    for s in specs:
-        if type(s) is not tuple:
-            merged.append(s)
-            continue
-        wires, pattern, target = s
-        last = merged[-1] if merged else None
-        same = type(last) is list and wires and last[0] == wires and last[1] == target
-        if same and pattern not in seen:
-            seen.add(pattern)
-            last[3] += 1
-        else:
-            seen = {pattern}
-            merged.append([wires, target, row, row + 1])
-        row += 1
-    gates = tuple(_trusted(ControlledGate, wires=g[0], target=g[1], pattern=patterns[g[2]:g[3]],
-                           stack=stack[g[2]:g[3]]) if type(g) is list else g for g in merged)
-    return Circuit(n, gates)  # raises the range error of the first gate beyond n
+    return Circuit(n, tuple(map(_parse_line, body)))
 
 
 # ------------------------------------------------------------- raw matrices

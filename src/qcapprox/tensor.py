@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from math import prod
-from operator import itemgetter
 from typing import Callable, Union
 
 import numpy as np
@@ -124,16 +123,8 @@ class Distribution:
         object.__setattr__(self, "probs", p)
 
 
-_QUBIT, _POLARITY = itemgetter(0), itemgetter(1)
 # Patterns are int64 arrays, so a controlled gate has at most 62 controls.
 MAX_CONTROLS = 62
-
-
-def _check_controls(controls: tuple, target: int) -> None:
-    """Polarities 0 or 1, then the wires as _check_wires checks them."""
-    if not set(map(_POLARITY, controls)) <= {0, 1}:
-        raise DomainError(f"control polarities must be 0 or 1: {controls}")
-    _check_wires(tuple(map(_QUBIT, controls)), target)
 
 
 def _check_wires(wires: tuple, target: int) -> None:
@@ -163,7 +154,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+# Gates hold arrays, so they compare and hash by identity (eq=False).
+@dataclass(frozen=True, eq=False)
 class LocalGate:
     """Unitary on an explicit tuple of qubit positions.
 
@@ -195,7 +187,7 @@ class LocalGate:
         return len(self.positions)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ControlledGate:
     """Uniformly controlled single-qubit gate (a multiplexor) with G branches.
 
@@ -217,13 +209,16 @@ class ControlledGate:
 
     def __init__(self, controls, target: int, matrix):
         ctrls = tuple([(int(q), int(p)) for q, p in controls])
-        _check_controls(ctrls, int(target))
+        if not {p for _, p in ctrls} <= {0, 1}:
+            raise DomainError(f"control polarities must be 0 or 1: {ctrls}")
+        wires = tuple([q for q, _ in ctrls])
+        _check_wires(wires, int(target))
         m = _check_unitary(matrix, "gate matrix")
         if m.shape != (2, 2):
             raise DomainError(f"controlled gate matrix must be 2x2, got {m.shape}")
         pattern = np.array([sum([p << j for j, (_, p) in enumerate(ctrls)])], dtype=np.int64)
         pattern.flags.writeable = False
-        object.__setattr__(self, "wires", tuple(map(_QUBIT, ctrls)))
+        object.__setattr__(self, "wires", wires)
         object.__setattr__(self, "target", int(target))
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "stack", _frozen(m[None]))

@@ -1,7 +1,8 @@
 """Shared test utilities: random unitaries, states and circuits, the
 brute-force dense oracle for gates, entry-by-entry references for the
-circuit and state file formats, per-chunk references for the Monte-Carlo
-experiments, and a tracemalloc peak probe."""
+circuit and state file formats, the per-branch `ctrl` writer of older
+circuit files, per-chunk references for the Monte-Carlo experiments, and
+a tracemalloc peak probe."""
 
 import math
 import tracemalloc
@@ -139,20 +140,20 @@ def branch_gates(gates) -> list:
 
 
 def assert_same_circuit(got: Circuit, want: Circuit) -> None:
-    """Same qubit count and, branch by branch (see branch_gates), the same
-    kind, wires and bit-identical matrix or angle."""
+    """Same qubit count and, gate for gate, the same kind, wires, pattern
+    array and bit-identical matrix, stack or angle. Compare
+    Circuit(n, branch_gates(...)) of both to check branch for branch."""
     assert got.n == want.n
-    got_branches, want_branches = branch_gates(got.gates), branch_gates(want.gates)
-    assert len(got_branches) == len(want_branches)
-    for g1, g2 in zip(want_branches, got_branches):
+    assert len(got.gates) == len(want.gates)
+    for g1, g2 in zip(want.gates, got.gates):
         assert type(g1) is type(g2)
         if isinstance(g1, LocalGate):
             assert g1.positions == g2.positions
             assert np.array_equal(g1.matrix, g2.matrix)
         elif isinstance(g1, ControlledGate):
-            assert g1.controls == g2.controls
-            assert g1.target == g2.target
-            assert np.array_equal(g1.matrix, g2.matrix)
+            assert g1.wires == g2.wires and g1.target == g2.target
+            assert g2.pattern.dtype == np.int64 and np.array_equal(g1.pattern, g2.pattern)
+            assert np.array_equal(g1.stack, g2.stack)
         else:
             assert g1.w == g2.w
 
@@ -230,19 +231,40 @@ def format_state_reference(state: StateVec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_circuit_reference(circuit: Circuit) -> str:
-    """One branch and one matrix entry at a time, each part through fmt_reference."""
-    def entries(m):
-        return " ".join(f"{fmt_reference(z.real)}:{fmt_reference(z.imag)}" for z in m.reshape(-1))
+def _entries_reference(m) -> str:
+    return " ".join(f"{fmt_reference(z.real)}:{fmt_reference(z.imag)}" for z in m.reshape(-1))
 
+
+def format_circuit_reference(circuit: Circuit) -> str:
+    """One gate per line, one pattern and one matrix entry at a time, each
+    part through fmt_reference."""
+    lines = [CIRCUIT_MAGIC, f"n={circuit.n}"]
+    for gate in circuit.gates:
+        if isinstance(gate, LocalGate):
+            pos = ",".join(str(q) for q in gate.positions)
+            lines.append(f"local {pos} {_entries_reference(gate.matrix)}")
+        elif isinstance(gate, ControlledGate):
+            wires = ",".join(str(q) for q in gate.wires) or NO_CONTROLS
+            patterns = ",".join(
+                "".join(str((int(b) >> j) & 1) for j in reversed(range(len(gate.wires)))) or "0"
+                for b in gate.pattern)
+            lines.append(f"mux {wires} {gate.target} {patterns} {_entries_reference(gate.stack)}")
+        else:
+            lines.append(f"iw {fmt_reference(gate.w)}")
+    return "\n".join(lines) + "\n"
+
+
+def format_circuit_ctrl_lines(circuit: Circuit) -> str:
+    """The file as written before `mux` lines: one `ctrl` line of q:p
+    control pairs per branch of a controlled gate, in stack order."""
     lines = [CIRCUIT_MAGIC, f"n={circuit.n}"]
     for gate in branch_gates(circuit.gates):
         if isinstance(gate, LocalGate):
             pos = ",".join(str(q) for q in gate.positions)
-            lines.append(f"local {pos} {entries(gate.matrix)}")
+            lines.append(f"local {pos} {_entries_reference(gate.matrix)}")
         elif isinstance(gate, ControlledGate):
             ctrls = ",".join(f"{q}:{p}" for q, p in gate.controls) or NO_CONTROLS
-            lines.append(f"ctrl {ctrls} {gate.target} {entries(gate.matrix)}")
+            lines.append(f"ctrl {ctrls} {gate.target} {_entries_reference(gate.matrix)}")
         else:
             lines.append(f"iw {fmt_reference(gate.w)}")
     return "\n".join(lines) + "\n"
@@ -263,6 +285,27 @@ def _parse_gate_reference(line: str):
         if len(entries) != dim * dim:
             raise ParseError(f"expected {dim * dim} matrix entries, got {len(entries)}")
         return LocalGate(positions, np.array(entries).reshape(dim, dim))
+    if kind == "mux":
+        if len(toks) < 5:
+            raise ParseError(f"bad mux gate line {line!r}")
+        try:
+            wires = [] if toks[1] == NO_CONTROLS else [int(t) for t in toks[1].split(",")]
+        except ValueError as exc:
+            raise ParseError(f"bad wires in {line!r}") from exc
+        try:
+            target = int(toks[2])
+        except ValueError as exc:
+            raise ParseError(f"bad target in {line!r}") from exc
+        numerals = toks[3].split(",")
+        if any(not b or set(b) - {"0", "1"} for b in numerals):
+            raise ParseError(f"bad patterns in {line!r}")
+        entries = [_parse_entry(t) for t in toks[4:]]
+        if len(entries) != 4 * len(numerals):
+            raise ParseError(f"expected {4 * len(numerals)} matrix entries for "
+                             f"{len(numerals)} patterns, got {len(entries)}")
+        patterns = [sum(int(d) << j for j, d in enumerate(reversed(b))) for b in numerals]
+        return ControlledGate.multiplexor(wires, target, patterns,
+                                          np.array(entries).reshape(len(numerals), 2, 2))
     if kind == "ctrl":
         if len(toks) == 6:
             toks.insert(1, NO_CONTROLS)

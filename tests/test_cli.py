@@ -315,7 +315,10 @@ def test_exit_code_domain_error(tmp_path, capsys):
     unequal = ["--a", str(one_qubit), "--b", str(two_qubit)]
     cascade = fileio.format_circuit(
         prepare_state(sample_haar_state(11, np.random.default_rng(5))).circuit).splitlines()
-    cascade[2001] = " ".join(cascade[2001].split()[:3] + [DEFECT])  # gate line 2000
+    level_11 = cascade[-1].split()  # branches 1023 to 2046 of the 2047
+    assert level_11[0] == "mux" and level_11[3].count(",") == 1023
+    level_11[4 + 4 * 977:8 + 4 * 977] = DEFECT.split()  # branch 2000
+    cascade[-1] = " ".join(level_11)
     cascade_file = tmp_path / "cascade.qcircuit"
     cascade_file.write_text("\n".join(cascade) + "\n")
     thm41 = ["bounds", "--table", "thm41", "--n", "6", "--k", "4", "--g", "2", "--b", "100"]
@@ -360,6 +363,10 @@ def test_exit_code_domain_error(tmp_path, capsys):
         _circuit_file(tmp_path, "duplicate", f"ctrl 0:1,0:0 1 {IDENTITY}"),
         _circuit_file(tmp_path, "negative", f"ctrl -1:1 1 {IDENTITY}"),
         _circuit_file(tmp_path, "beyond_n", f"ctrl 0:1 2 {IDENTITY}"),
+        _circuit_file(tmp_path, "mux_nonunitary", f"mux 0 1 0,1 {IDENTITY} {DEFECT}", "warp 0"),
+        _circuit_file(tmp_path, "mux_repeated", f"mux 0 1 1,1 {IDENTITY} {IDENTITY}"),
+        _circuit_file(tmp_path, "mux_wide", f"mux 0 1 10 {IDENTITY}"),
+        _circuit_file(tmp_path, "mux_63_wires", f"mux {','.join(map(str, range(63)))} 63 0 {IDENTITY}"),
         _circuit_file(tmp_path, "iw_nan", "iw nan"),
         _circuit_file(tmp_path, "iw_inf", f"ctrl 0:1 1 {IDENTITY}", "iw inf"),
         ["dist", "--metric", "two", "--a", str(tmp_path / "iw_nan.qcircuit"),
@@ -400,6 +407,9 @@ def test_exit_code_parse_error(tmp_path, capsys):
         _circuit_file(tmp_path, "malformed_first", "warp 0", f"ctrl 0:1 1 {DEFECT}"),
         _circuit_file(tmp_path, "entry_before_polarity", "ctrl 0:2 1 1:0 0:0 0:0 x:0"),
         _circuit_file(tmp_path, "range_after_every_line", f"ctrl 0:1 2 {IDENTITY}", "warp 0"),
+        _circuit_file(tmp_path, "mux_count", f"mux 0 1 0,1 {IDENTITY}"),
+        _circuit_file(tmp_path, "mux_numeral", f"mux 0 1 0,2 {IDENTITY} {IDENTITY}"),
+        _circuit_file(tmp_path, "mux_malformed_first", "warp 0", f"mux 0 1 1,1 {IDENTITY} {IDENTITY}"),
         # an input listed twice: the last value would silently win
         ["advantage", "--circuit", str(identity), "--problem", str(repeated)],
     ):

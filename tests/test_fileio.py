@@ -28,6 +28,8 @@ from qcapprox.tensor import (
 )
 from helpers import (
     assert_same_circuit,
+    branch_gates,
+    format_circuit_ctrl_lines,
     gate_oracle,
     haar_unitary,
     parse_circuit_reference,
@@ -89,41 +91,55 @@ def test_circuit_round_trip_bit_exact():
         n = int(rng.integers(1, 5))
         c = random_circuit(n, 5, rng)
         assert_same_circuit(parse_circuit(format_circuit(c)), c)
+    # Two lone gates on the same wires and target, one after the other,
+    # come back as two gates: lines are read gate for gate.
+    lone = Circuit(3, (ControlledGate(((0, 1), (2, 0)), 1, haar_unitary(2, rng)),
+                       ControlledGate(((0, 0), (2, 0)), 1, haar_unitary(2, rng))))
+    text = format_circuit(lone)
+    assert len(text.splitlines()) == 4
+    assert_same_circuit(parse_circuit(text), lone)
 
 
 def test_zero_control_gate_round_trip():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     c = Circuit(2, (ControlledGate((), 1, x),))
     text = format_circuit(c)
-    assert text.splitlines()[2].startswith("ctrl - 1 ")
+    assert text.splitlines()[2] == "mux - 1 0 0:0 1:0 1:0 0:0"
     back = parse_circuit(text).gates[0]
     assert back.controls == () and back.target == 1 and np.array_equal(back.matrix, x)
-    # older files left the control field empty
-    legacy = parse_circuit("qcircuit v1\nn=2\nctrl  1 0:0 1:0 1:0 0:0\n").gates[0]
-    assert legacy.controls == () and np.array_equal(legacy.matrix, x)
 
 
-def test_ctrl_lines_merge_until_a_pattern_repeats():
-    # Consecutive ctrl lines on one target and one control-qubit sequence
-    # are one gate until a pattern comes back; a different control order, a
-    # different target or no controls at all starts a gate of its own.
+def test_ctrl_line_files_still_read():
+    # Files written before mux lines hold one ctrl line per branch. Each
+    # line is read as a gate of its own; branch for branch it is the gate
+    # the mux line holds, and it applies as the same unitary.
     rng = np.random.default_rng(5)
-    lines = [(((0, 1), (2, 0)), 1), (((0, 0), (2, 0)), 1), (((0, 1), (2, 1)), 1),
-             (((0, 0), (2, 0)), 1), (((0, 1), (2, 1)), 1)]
-    tail = [(((2, 1), (0, 0)), 1), (((2, 0), (0, 0)), 3), ((), 1), ((), 1)]
-    for specs, patterns in ((lines, [[1, 0, 3], [0, 3]]), (lines + tail, [[1, 0, 3], [0, 3], [1], [0], [0], [0]])):
-        per_line = Circuit(4, tuple(ControlledGate(c, t, haar_unitary(2, rng)) for c, t in specs))
-        text = format_circuit(per_line)
-        merged = parse_circuit(text)
-        assert [g.pattern.tolist() for g in merged.gates] == patterns
-        assert format_circuit(merged) == text
-        assert_same_circuit(merged, per_line)
-        want = np.eye(16, dtype=complex)
-        for gate in parse_circuit_reference(text).gates:
-            want = gate_oracle(gate, 4) @ want
-        s = random_state(4, rng)
-        assert np.abs(apply_circuit(merged, s).amps - want @ s.amps).max() <= 1e-12
-        assert np.abs(apply_circuit(merged, s).amps - apply_circuit(per_line, s).amps).max() <= 1e-12
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    gates = list(random_circuit(3, 12, rng).gates)
+    for i in (0, 5, 9):
+        gates.insert(i, ControlledGate((), int(rng.integers(0, 3)), haar_unitary(2, rng)))
+    circuits = [
+        prepare_state(sample_haar_state(11, np.random.default_rng(11))).circuit,
+        Circuit(3, tuple(gates)),
+        Circuit(2, (ControlledGate((), 1, x),)),
+    ]
+    texts = [format_circuit_ctrl_lines(c) for c in circuits]
+    # the legacy empty control field of a zero-control gate
+    texts[2] = texts[2].replace("ctrl - 1 ", "ctrl  1 ")
+    assert texts[2].splitlines()[2] == "ctrl  1 0:0 1:0 1:0 0:0"
+    for circuit, text in zip(circuits, texts):
+        n = circuit.n
+        legacy, mux = parse_circuit(text), parse_circuit(format_circuit(circuit))
+        assert len(legacy.gates) == len(text.splitlines()) - 2
+        assert_same_circuit(Circuit(n, branch_gates(legacy.gates)), Circuit(n, branch_gates(mux.gates)))
+        s = random_state(n, rng)
+        got = apply_circuit(legacy, s).amps
+        assert np.abs(got - apply_circuit(mux, s).amps).max() <= 1e-12
+        if n <= 4:
+            want = np.eye(1 << n, dtype=complex)
+            for gate in parse_circuit_reference(text).gates:
+                want = gate_oracle(gate, n) @ want
+            assert np.abs(got - want @ s.amps).max() <= 1e-12
 
 
 def test_circuit_format_lines():
@@ -132,16 +148,17 @@ def test_circuit_format_lines():
         LocalGate((1,), x),
         ControlledGate(((0, 1),), 1, x),
         PhaseOnZero(0.5),
+        ControlledGate.multiplexor((2, 0), 1, [2, 1], np.array([x, np.eye(2)])),
     )
-    text = format_circuit(
-        __import__("qcapprox").Circuit(2, c_gates)
-    )
-    lines = text.splitlines()
+    lines = format_circuit(Circuit(3, c_gates)).splitlines()
     assert lines[0] == "qcircuit v1"
-    assert lines[1] == "n=2"
+    assert lines[1] == "n=3"
     assert lines[2].startswith("local 1 ")
-    assert lines[3].startswith("ctrl 0:1 1 ")
+    assert lines[3] == "mux 0 1 1 0:0 1:0 1:0 0:0"
     assert lines[4] == "iw 0.5"
+    # bit j of a pattern's numeral is wires[j]: 2 reads wire 2 as 0 and wire 0 as 1
+    assert lines[5] == "mux 2,0 1 10,01 0:0 1:0 1:0 0:0 1:0 0:0 0:0 1:0"
+    assert len(lines) == 2 + len(c_gates)
 
 
 def test_circuit_parse_errors():
@@ -156,6 +173,7 @@ def test_circuit_parse_errors():
         parse_circuit(head + "iw fast\n")
     with pytest.raises(ParseError):
         parse_circuit(head + "local 0 1:0 0:0 0:0 badentry\n")
+    two = f"{IDENTITY} {IDENTITY}"
     refused = {
         DomainError: [
             f"ctrl 0:1 1 {DEFECT_3}\nwarp 0\n",  # non-unitary above a malformed line
@@ -170,6 +188,12 @@ def test_circuit_parse_errors():
             f"ctrl 0:1 2 {IDENTITY}\n",  # qubit >= n
             f"ctrl 2:1 1 {IDENTITY}\n",
             f"local 5 {IDENTITY}\n",
+            f"mux 0 1 0,1 {IDENTITY} {DEFECT_3}\nwarp 0\n",  # non-unitary branch 1
+            f"mux 0 1 0,0 {two}\n",  # a repeated pattern
+            f"mux 0 1 0,10 {two}\n",  # a numeral wider than the wires
+            f"mux - 1 1 {IDENTITY}\n",  # no wires, so only pattern 0
+            f"mux {','.join(map(str, range(63)))} 63 0 {IDENTITY}\n",  # 63 wires
+            f"mux 0 2 0 {IDENTITY}\n",  # qubit >= n
             "iw nan\n",
             "iw -inf\n",
             "iw inf\nwarp 0\n",  # non-finite angle above a malformed line
@@ -181,6 +205,15 @@ def test_circuit_parse_errors():
             f"ctrl 0:1 1 {IDENTITY} 1:0\n",
             f"ctrl 0:1 1 1:0:0 0:0 0:0 1:0\n",
             "warp 0\niw nan\n",  # malformed above a non-finite angle
+            f"mux 0 1 0,1 {IDENTITY}\n",  # two patterns, four entries
+            f"mux 0 1 0 {two}\n",
+            f"mux 0 1 0,2 {two}\n",  # not a binary numeral
+            f"mux 0 1 0,,1 {two} {IDENTITY}\n",  # an empty numeral
+            f"mux 0 1 0b1 {IDENTITY}\n",
+            f"mux 0:1 1 1 {IDENTITY}\n",  # a ctrl field in a mux line
+            f"mux 0 x 1 {IDENTITY}\n",
+            "mux 0 1 1\n",
+            f"mux 0 1 1,0 {IDENTITY} {DEFECT_3} x:0\n",  # entries are read before the branches
         ],
     }
     for kind, bodies in refused.items():
@@ -195,23 +228,29 @@ def test_circuit_parse_errors():
 def test_first_bad_gate_of_a_cascade_decides_the_error():
     circuit = prepare_state(sample_haar_state(11, np.random.default_rng(11))).circuit
     lines = format_circuit(circuit).splitlines()
-    assert len(lines) == 2 + 2047 and lines[2001].startswith("ctrl ")
+    assert len(lines) == 2 + 11 and lines[-1].startswith("mux ")
+    # Level 11, the last line, holds branches 1023 to 2046 of the 2047:
+    # its branch 977 is branch 2000, and its branch 1007 is branch 2030.
+    assert lines[-1].split()[3].count(",") + 1 == 1024
 
-    def with_entries(entries: dict[int, str]) -> str:
-        """The file with the matrix entries of some lines replaced."""
-        edited = list(lines)
-        for index, tail in entries.items():
-            edited[index] = " ".join(edited[index].split()[:3] + [tail])
-        return "\n".join(edited) + "\n"
+    def with_entries(branches: dict[int, str], below: str = "") -> str:
+        """The file with the matrix of some level-11 branches replaced and
+        `below` appended."""
+        toks = lines[-1].split()
+        for branch, matrix in branches.items():
+            toks[4 + 4 * branch:8 + 4 * branch] = matrix.split()
+        return "\n".join(lines[:-1] + [" ".join(toks), below]) + "\n"
 
-    # gate line 2000 (file line 2001) is the first bad gate; a worse gate and
-    # a malformed line below it do not change the error
+    # branch 2000 is the first bad branch; a worse branch after it and a
+    # malformed line below do not change the error
     with pytest.raises(DomainError, match=r"Frobenius defect 3\.000e\+00"):
-        parse_circuit(with_entries({2001: DEFECT_3, 2030: DEFECT_8, 2040: "x:0 0:0 0:0 1:0"}))
+        parse_circuit(with_entries({977: DEFECT_3, 1007: DEFECT_8}, "warp 0"))
     with pytest.raises(ParseError):
-        parse_circuit(with_entries({2001: "x:0 0:0 0:0 1:0", 2030: DEFECT_8}))
+        parse_circuit(with_entries({977: "x:0 0:0 0:0 1:0", 1007: DEFECT_8}))
     with pytest.raises(DomainError, match=r"Frobenius defect 8\.000e\+00"):
-        parse_circuit(with_entries({2030: DEFECT_8}))
+        parse_circuit(with_entries({1007: DEFECT_8}))
+    with pytest.raises(ParseError, match="unknown gate kind 'warp'"):
+        parse_circuit(with_entries({}, "warp 0"))
 
 
 def test_problem_round_trip():

@@ -111,6 +111,22 @@ def test_gate_validation():
             ControlledGate.multiplexor(wires, target, pattern, matrices)
 
 
+def test_gates_compare_and_hash_by_identity():
+    # Gates hold arrays, so == and hash go by identity; a phase-on-zero
+    # holds one float and keeps value equality.
+    gates = [LocalGate((0,), np.eye(2)), ControlledGate(((0, 1),), 1, X),
+             ControlledGate.multiplexor((0,), 1, [0, 1], np.array([X, X]))]
+    twins = [LocalGate((0,), np.eye(2)), ControlledGate(((0, 1),), 1, X),
+             ControlledGate.multiplexor((0,), 1, [0, 1], np.array([X, X]))]
+    for gate, twin in zip(gates, twins):
+        assert gate == gate and gate != twin
+        assert len({gate, twin, gate}) == 2
+    assert PhaseOnZero(0.5) == PhaseOnZero(0.5) and hash(PhaseOnZero(0.5)) == hash(PhaseOnZero(0.5))
+    circuit = Circuit(2, tuple(gates))
+    assert circuit == Circuit(2, tuple(gates)) and circuit != Circuit(2, tuple(twins))
+    assert hash(circuit) == hash(Circuit(2, tuple(gates)))
+
+
 def test_embed_x_on_qubit_one():
     # X on qubit 1 flips bit 1: |00> (index 0) goes to index 2
     u = embed_gate(LocalGate((1,), X), 2)
