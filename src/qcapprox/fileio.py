@@ -187,7 +187,8 @@ def _parse_line(line: str):
         if len(values) != 8 * len(numerals):
             raise ParseError(f"expected {4 * len(numerals)} matrix entries for "
                              f"{len(numerals)} patterns, got {len(values) // 2}")
-        return ControlledGate.multiplexor(wires, target, [int(b, 2) for b in numerals],
+        top = 1 << len(wires)  # numerals at or past it, however wide, clamp to it: out of range
+        return ControlledGate.multiplexor(wires, target, [min(int(b, 2), top) for b in numerals],
                                           np.array(values).view(complex).reshape(-1, 2, 2))
     if kind == "ctrl":
         if len(toks) == 6:

@@ -55,11 +55,12 @@ class OrthoSeq:
         for s in states:
             if s.n != self.n:
                 raise DomainError(f"state on {s.n} qubits in a sequence on {self.n}")
-        for i in range(len(states)):
-            for j in range(i + 1, len(states)):
-                ip = abs(np.vdot(states[i].amps, states[j].amps))
-                if ip > ORTHO_TOL:
-                    raise DomainError(f"states {i} and {j} not orthogonal (|<u_i|u_j>| = {ip:.3e})")
+        amps = np.array([s.amps for s in states])
+        overlaps = np.abs(amps.conj() @ amps.T)  # |<u_i|u_j>| for every pair at once
+        bad = np.argwhere(np.triu(overlaps > ORTHO_TOL, 1))  # pairs i < j, row-major
+        if bad.size:
+            i, j = bad[0]
+            raise DomainError(f"states {i} and {j} not orthogonal (|<u_i|u_j>| = {overlaps[i, j]:.3e})")
         object.__setattr__(self, "states", states)
 
     @property

@@ -7,6 +7,7 @@ bit, so the first l bits of b are b % 2**l.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import repeat
 from math import prod
@@ -41,24 +42,22 @@ def _as_complex_array(values, name: str) -> np.ndarray:
     return arr
 
 
-def _check_unitary(matrix: np.ndarray, name: str, tol: float = UNITARY_TOL) -> np.ndarray:
-    """Validate one square matrix, or a (G, d, d) stack of them; the error
-    gives the Frobenius defect of the first matrix in the stack that fails."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise DomainError(f"{name} must be square, got shape {m.shape}")
-    d = m.shape[-1]
-    if d == 0 or d & (d - 1):
-        raise DomainError(f"{name} must have power-of-two dimension, got {d}")
-    if m.ndim == 2:
-        err = np.linalg.norm(m.conj().T @ m - np.eye(d))
-    else:
-        gram = m.conj().swapaxes(1, 2) @ m - np.eye(d)
-        errs = np.linalg.norm(gram, axis=(1, 2))
-        bad = ~(errs <= tol)
-        err = errs[bad.argmax()] if bad.any() else 0.0
-    if not err <= tol:
-        raise DomainError(f"{name} is not unitary (Frobenius defect {err:.3e} > {tol:.0e})")
+def _unitary(matrix, shape: tuple) -> np.ndarray:
+    """A read-only complex copy of `matrix`, after checking that it has exactly
+    `shape`, (d, d) or a (G, d, d) stack, and that each matrix in it is
+    unitary; the error names the first one's Frobenius defect."""
+    m = np.array(matrix, dtype=complex, order="C")
+    if m.shape != shape:
+        raise DomainError(f"gate matrix must have shape {shape}, got {m.shape}")
+    d = shape[-1]
+    gram = m.conj().swapaxes(-1, -2) @ m - np.eye(d)
+    if not np.vdot(gram, gram).real <= UNITARY_TOL ** 2:  # the squared defects' sum bounds each
+        errs = np.linalg.norm(gram.reshape(-1, d * d), axis=1)
+        bad = errs[~(errs <= UNITARY_TOL)]
+        if bad.size:
+            raise DomainError(f"gate matrix is not unitary (Frobenius defect {bad[0]:.3e} "
+                              f"> {UNITARY_TOL:.0e})")
+    m.flags.writeable = False
     return m
 
 
@@ -127,15 +126,16 @@ class Distribution:
 MAX_CONTROLS = 62
 
 
-def _check_wires(wires: tuple, target: int) -> None:
-    """Control and target wires distinct and non-negative, at most MAX_CONTROLS controls."""
-    touched = list(wires) + [target]
-    if len(set(touched)) != len(touched):
-        raise DomainError(f"controls {list(wires)} and target {target} must be distinct")
-    if min(touched) < 0:
-        raise DomainError("negative qubit index")
-    if len(wires) > MAX_CONTROLS:
-        raise DomainError(f"{len(wires)} controls exceed the limit of {MAX_CONTROLS}")
+def _check_qubits(qubits) -> tuple[int, ...]:
+    """A gate's qubits as ints: one or more, distinct, non-negative, each read
+    by operator.index (numpy integers pass, floats do not)."""
+    try:
+        qs = tuple(map(operator.index, qubits))
+    except TypeError:
+        qs = ()
+    if not qs or len(set(qs)) != len(qs) or min(qs) < 0:
+        raise DomainError(f"gate qubits {tuple(qubits)} must be 1 or more distinct non-negative integers")
+    return qs
 
 
 def _trusted(cls, **fields):
@@ -147,40 +147,22 @@ def _trusted(cls, **fields):
     return gate
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only copy of `a`."""
-    a = a.copy()
-    a.flags.writeable = False
-    return a
-
-
 # Gates hold arrays, so they compare and hash by identity (eq=False).
 @dataclass(frozen=True, eq=False)
 class LocalGate:
     """Unitary on an explicit tuple of qubit positions.
 
     positions[j] is local tensor factor j, i.e. bit j of the row/column
-    index of `matrix`.
+    index of `matrix`, a read-only (2**g, 2**g) unitary for g positions.
     """
 
     positions: tuple[int, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
-        pos = tuple(int(q) for q in self.positions)
-        if len(pos) == 0:
-            raise DomainError("local gate needs at least one position")
-        if len(set(pos)) != len(pos):
-            raise DomainError(f"duplicate qubit positions {pos}")
-        if min(pos) < 0:
-            raise DomainError(f"negative qubit position in {pos}")
-        m = _check_unitary(self.matrix, "gate matrix")
-        if m.shape != (1 << len(pos),) * 2:
-            raise DomainError(
-                f"matrix shape {m.shape} does not match {len(pos)} positions"
-            )
+        pos = _check_qubits(self.positions)
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", _unitary(self.matrix, (1 << len(pos),) * 2))
 
     @property
     def arity(self) -> int:
@@ -197,9 +179,10 @@ class ControlledGate:
     act on disjoint amplitude pairs and commute. `pattern` is a read-only
     (G,) int64 array and `stack` a read-only (G, 2, 2) array.
 
-    ControlledGate(controls, target, matrix) is the case G = 1, from
-    (qubit, polarity) pairs; polarity 1 fires on the control bit being 1,
-    polarity 0 on it being 0. ControlledGate.multiplexor builds any G.
+    ControlledGate.multiplexor builds any G. ControlledGate(controls, target,
+    matrix) is G = 1 from (qubit, polarity) pairs, polarity 1 firing on the
+    control bit being 1 and 0 on it being 0: past its polarity check it runs
+    the multiplexor's one validation, _validate.
     """
 
     wires: tuple[int, ...]
@@ -208,39 +191,42 @@ class ControlledGate:
     stack: np.ndarray
 
     def __init__(self, controls, target: int, matrix):
-        ctrls = tuple([(int(q), int(p)) for q, p in controls])
-        if not {p for _, p in ctrls} <= {0, 1}:
+        ctrls = tuple(controls)
+        try:
+            bits = [operator.index(p) for _, p in ctrls]
+        except TypeError:
+            bits = None
+        if bits is None or not set(bits) <= {0, 1}:
             raise DomainError(f"control polarities must be 0 or 1: {ctrls}")
-        wires = tuple([q for q, _ in ctrls])
-        _check_wires(wires, int(target))
-        m = _check_unitary(matrix, "gate matrix")
-        if m.shape != (2, 2):
-            raise DomainError(f"controlled gate matrix must be 2x2, got {m.shape}")
-        pattern = np.array([sum([p << j for j, (_, p) in enumerate(ctrls)])], dtype=np.int64)
-        pattern.flags.writeable = False
-        object.__setattr__(self, "wires", wires)
-        object.__setattr__(self, "target", int(target))
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "stack", _frozen(m[None]))
+        self._validate([q for q, _ in ctrls], target, [sum([b << j for j, b in enumerate(bits)])],
+                       np.asarray(matrix, dtype=complex)[None])
 
     @classmethod
     def multiplexor(cls, wires, target: int, pattern, stack) -> "ControlledGate":
         """The gate applying stack[i] where `wires` read pattern[i], validated."""
-        wires, target = tuple(int(q) for q in wires), int(target)
-        _check_wires(wires, target)
+        return object.__new__(cls)._validate(wires, target, pattern, stack)
+
+    def _validate(self, wires, target, pattern, stack) -> "ControlledGate":
+        """Check every field of a controlled gate and set it, returning the
+        gate: the one validation that both constructors run."""
+        qubits = _check_qubits((*wires, target))
+        c = len(qubits) - 1
+        if c > MAX_CONTROLS:
+            raise DomainError(f"{c} controls exceed the limit of {MAX_CONTROLS}")
         p = np.asarray(pattern)
         if p.ndim != 1 or not p.size or p.dtype.kind not in "iu":
             raise DomainError(f"patterns must be a non-empty 1-D integer array, got {p.dtype} "
                               f"of shape {p.shape}")
-        if p.min() < 0 or p.max() >= 1 << len(wires):
-            raise DomainError(f"patterns must lie in [0, {1 << len(wires)})")
-        if np.unique(p).size != p.size:
+        lo, hi = (p[0], p[0]) if p.size == 1 else (p.min(), p.max())  # one pattern: no reductions
+        if lo < 0 or hi >= 1 << c:
+            raise DomainError(f"patterns must lie in [0, {1 << c})")
+        if p.size > 1 and np.unique(p).size != p.size:
             raise DomainError("patterns must be pairwise distinct")
-        m = _check_unitary(stack, "gate matrix")
-        if m.shape != (p.size, 2, 2):
-            raise DomainError(f"expected a ({p.size}, 2, 2) stack, got shape {m.shape}")
-        return _trusted(cls, wires=wires, target=target, pattern=_frozen(p.astype(np.int64)),
-                        stack=_frozen(m))
+        pattern = p.astype(np.int64)
+        pattern.flags.writeable = False
+        vars(self).update(wires=qubits[:-1], target=qubits[-1], pattern=pattern,
+                          stack=_unitary(stack, (p.size, 2, 2)))
+        return self
 
     @property
     def controls(self) -> tuple:

@@ -303,7 +303,9 @@ def _parse_gate_reference(line: str):
         if len(entries) != 4 * len(numerals):
             raise ParseError(f"expected {4 * len(numerals)} matrix entries for "
                              f"{len(numerals)} patterns, got {len(entries)}")
-        patterns = [sum(int(d) << j for j, d in enumerate(reversed(b))) for b in numerals]
+        # Out-of-range numerals of any width are refused as out of range.
+        patterns = [min(sum(int(d) << j for j, d in enumerate(reversed(b))), 1 << len(wires))
+                    for b in numerals]
         return ControlledGate.multiplexor(wires, target, patterns,
                                           np.array(entries).reshape(len(numerals), 2, 2))
     if kind == "ctrl":

@@ -366,6 +366,7 @@ def test_exit_code_domain_error(tmp_path, capsys):
         _circuit_file(tmp_path, "mux_nonunitary", f"mux 0 1 0,1 {IDENTITY} {DEFECT}", "warp 0"),
         _circuit_file(tmp_path, "mux_repeated", f"mux 0 1 1,1 {IDENTITY} {IDENTITY}"),
         _circuit_file(tmp_path, "mux_wide", f"mux 0 1 10 {IDENTITY}"),
+        _circuit_file(tmp_path, "mux_beyond_int64", f"mux 0 1 {'1' * 70} {IDENTITY}"),
         _circuit_file(tmp_path, "mux_63_wires", f"mux {','.join(map(str, range(63)))} 63 0 {IDENTITY}"),
         _circuit_file(tmp_path, "iw_nan", "iw nan"),
         _circuit_file(tmp_path, "iw_inf", f"ctrl 0:1 1 {IDENTITY}", "iw inf"),

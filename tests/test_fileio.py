@@ -191,6 +191,7 @@ def test_circuit_parse_errors():
             f"mux 0 1 0,1 {IDENTITY} {DEFECT_3}\nwarp 0\n",  # non-unitary branch 1
             f"mux 0 1 0,0 {two}\n",  # a repeated pattern
             f"mux 0 1 0,10 {two}\n",  # a numeral wider than the wires
+            f"mux 0 1 0,{'1' * 70} {two}\n",  # and beyond int64
             f"mux - 1 1 {IDENTITY}\n",  # no wires, so only pattern 0
             f"mux {','.join(map(str, range(63)))} 63 0 {IDENTITY}\n",  # 63 wires
             f"mux 0 2 0 {IDENTITY}\n",  # qubit >= n
@@ -223,6 +224,10 @@ def test_circuit_parse_errors():
             with pytest.raises(kind) as want:
                 parse_circuit_reference(head + body)
             assert str(got.value) == str(want.value), body
+    with pytest.raises(DomainError, match=r"^patterns must lie in \[0, 2\)$"):
+        parse_circuit(head + f"mux 0 1 0,{'1' * 70} {two}\n")
+    gate, = parse_circuit(head + f"mux 0 1 {'0' * 70}1 {IDENTITY}\n").gates  # leading zeros
+    assert gate.pattern.tolist() == [1]
 
 
 def test_first_bad_gate_of_a_cascade_decides_the_error():

@@ -351,6 +351,11 @@ def test_ortho_seq_validation():
         OrthoSeq(1, tuple(StateVec.basis(2, b) for b in range(2)))  # wrong n
     with pytest.raises(DomainError):
         OrthoSeq(1, ())
+    # pairs (1, 3) and (2, 3) overlap; the first in row-major order is named
+    last = StateVec(2, np.array([0, 1, 1, 1]) / np.sqrt(3))
+    with pytest.raises(DomainError, match=r"^states 1 and 3 not orthogonal "
+                                          r"\(\|<u_i\|u_j>\| = 5\.774e-01\)$"):
+        OrthoSeq(2, tuple(StateVec.basis(2, b) for b in range(3)) + (last,))
 
 
 def test_gate_budget_values():

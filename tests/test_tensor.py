@@ -75,6 +75,20 @@ def test_state_amps_frozen():
         s.amps[0] = 0.5
 
 
+# (controls, target, matrix) inputs the pair constructor refuses.
+PAIR_REFUSED = [
+    (((0, 1),), 1, np.array([[0, np.nan], [1, 0]], dtype=complex)),
+    (((0, 2),), 1, X),  # bad polarity
+    (((0, 1.9),), 1, X),  # a float polarity, not truncated to 1
+    (((0, 1.0),), 1, X),
+    (((1, 0),), 1, X),  # control hits target
+    (((1.7, 1),), 0, X),  # a float control, not truncated to qubit 1
+    (((1, 1),), 0.2, X),  # a float target
+    (((0, 1),), 1, np.eye(4)),  # not 2x2
+    (((0, 1),), 1, np.eye(2)[0]),
+]
+
+
 def test_gate_validation():
     with pytest.raises(DomainError):
         LocalGate((0, 0), haar_unitary(4, np.random.default_rng(0)))
@@ -82,16 +96,28 @@ def test_gate_validation():
         LocalGate((0,), np.array([[1, 1], [0, 1]], dtype=complex))  # not unitary
     with pytest.raises(DomainError):
         LocalGate((0,), np.array([[np.nan, 0], [0, 1]], dtype=complex))
+    for positions in ((0.9,), (0, 1.0), (), (-1,)):  # floats are not truncated
+        with pytest.raises(DomainError):
+            LocalGate(positions, np.eye(1 << len(positions)))
     with pytest.raises(DomainError):
-        ControlledGate(((0, 1),), 1, np.array([[0, np.nan], [1, 0]], dtype=complex))
-    with pytest.raises(DomainError):
-        ControlledGate(((0, 2),), 1, X)  # bad polarity
-    with pytest.raises(DomainError):
-        ControlledGate(((1, 0),), 1, X)  # control hits target
+        LocalGate((0,), np.eye(4))  # the matrix does not match the positions
+    # the 1e-9 tolerance: (1 + t) I has Frobenius defect sqrt(2) ((1 + t)^2 - 1)
+    LocalGate((0,), np.eye(2) * (1 + 3e-10))
+    with pytest.raises(DomainError, match=r"Frobenius defect 2\.828e-09 > 1e-09"):
+        LocalGate((0,), np.eye(2) * (1 + 1e-9))
+    assert LocalGate((np.int64(1), np.int32(0)), np.eye(4)).positions == (1, 0)
+    for controls, target, matrix in PAIR_REFUSED:
+        with pytest.raises(DomainError):
+            ControlledGate(controls, target, matrix)
+    gate = ControlledGate(((np.int64(0), np.int64(0)),), np.int64(1), X)
+    assert gate.wires == (0,) and gate.target == 1 and type(gate.target) is int
     with pytest.raises(DomainError):
         Circuit(2, (LocalGate((5,), X),))  # out of range
     stack = np.array([X, X, X])
     ControlledGate.multiplexor((0, 2), 1, [3, 0, 1], stack)
+    # each branch's defect is 6e-10, under the tolerance, though their sum is not
+    near = np.repeat(np.eye(2)[None], 1024, axis=0) * (1 + 3e-10 / np.sqrt(2))
+    ControlledGate.multiplexor(tuple(range(1, 11)), 0, np.arange(1024), near)
     for wires, target, pattern, matrices in (
         ((0, 2), 1, [3, 0, 3], stack),  # a repeated pattern
         ((0, 2), 1, [3, 0, 4], stack),  # a pattern >= 2**c
@@ -105,10 +131,42 @@ def test_gate_validation():
         ((0, 2), 1, [3], X),
         ((0, 1), 1, [3, 0, 1], stack),  # control hits target
         ((0, -2), 1, [3, 0, 1], stack),
+        ((0, 2.0), 1, [3, 0, 1], stack),  # a float wire
+        ((0, 2), 1.0, [3, 0, 1], stack),
         (tuple(range(2, 65)), 0, [0, 1, 2], stack),  # too many controls
     ):
         with pytest.raises(DomainError):
             ControlledGate.multiplexor(wires, target, pattern, matrices)
+
+
+def test_pair_constructor_agrees_with_one_branch_multiplexor():
+    # Past its polarity check, ControlledGate(controls, target, m) is
+    # ControlledGate.multiplexor(wires, target, [pattern], m[None]): the same
+    # fields, or the same error.
+    def outcome(build):
+        try:
+            gate = build()
+        except DomainError as exc:
+            return "refused", str(exc)
+        assert gate.pattern.dtype == np.int64 and all(type(q) is int for q in gate.wires)
+        return gate.wires, gate.target, gate.pattern.tobytes(), gate.stack.tobytes()
+
+    rng = np.random.default_rng(19)
+    accepted = [(((0, 0), (2, 1)), 1, X), ((), 0, haar_unitary(2, rng)),
+                (((np.int64(3), np.int64(1)), (0, 0)), np.int32(2), haar_unitary(2, rng).tolist())]
+    compared = 0
+    for controls, target, matrix in PAIR_REFUSED + accepted:
+        pair = outcome(lambda: ControlledGate(controls, target, matrix))
+        polarities = [p for _, p in controls]
+        if not all(type(p) in (int, np.int64) and p in (0, 1) for p in polarities):
+            assert pair == ("refused", f"control polarities must be 0 or 1: {controls}")
+            continue
+        pattern = sum(p << j for j, p in enumerate(polarities))
+        mux = outcome(lambda: ControlledGate.multiplexor([q for q, _ in controls], target,
+                                                         [pattern], np.asarray(matrix)[None]))
+        assert pair == mux, (controls, target)
+        compared += 1
+    assert compared == len(PAIR_REFUSED) + len(accepted) - 3  # polarities 2, 1.9 and 1.0
 
 
 def test_gates_compare_and_hash_by_identity():

@@ -9,6 +9,9 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -57,3 +60,31 @@ def test_one_untraced_pass_of_every_workload_passes_its_checks(tmp_path, monkeyp
             assert [err for _, err in workload.probes() if err is not None] == [], name
         finally:
             workload.close()
+
+
+def test_report_key_changes_with_every_field_of_a_controlled_gate(monkeypatch):
+    # The benchmark compares circuits by report_key, which reads a gate's
+    # `controls` and `matrix`; on a multi-branch gate these must still carry
+    # every wire, pattern, the target and every stack entry.
+    workloads = _load("workloads", lambda key, m: monkeypatch.setitem(sys.modules, key, m))
+    tensor = _qcapprox("tensor")
+    rng = np.random.default_rng(7)
+    stack = np.array([workloads.random_unitary(2, rng) for _ in range(3)])
+    fields = dict(wires=(0, 2), target=1, pattern=np.array([3, 0, 1]), stack=stack)
+
+    def key(gate):
+        return workloads.report_key(SimpleNamespace(circuit=tensor.Circuit(4, (gate,))))
+
+    def variant(**changed):
+        return tensor.ControlledGate.multiplexor(**{**fields, **changed})
+
+    base = key(variant())
+    assert key(variant()) == base
+    entry = stack.copy()
+    entry[2, 1] *= -1  # one row of one branch negated: still unitary
+    for gate in (variant(pattern=[3, 0, 2]), variant(wires=(0, 3)), variant(target=3),
+                 variant(stack=entry)):
+        assert key(gate) != base
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    assert (key(tensor.ControlledGate(((0, 1), (2, 0)), 1, x))
+            != key(tensor.ControlledGate(((0, 1), (2, 1)), 1, x)))
