@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import product, repeat
 from math import prod
 from typing import Callable, Union
 
@@ -134,7 +134,7 @@ def _check_qubits(qubits) -> tuple[int, ...]:
     except TypeError:
         qs = ()
     if not qs or len(set(qs)) != len(qs) or min(qs) < 0:
-        raise DomainError(f"gate qubits {tuple(qubits)} must be 1 or more distinct non-negative integers")
+        raise DomainError(f"gate qubits {qubits!r} must be 1 or more distinct non-negative integers")
     return qs
 
 
@@ -191,11 +191,11 @@ class ControlledGate:
     stack: np.ndarray
 
     def __init__(self, controls, target: int, matrix):
-        ctrls = tuple(controls)
         try:
+            ctrls = tuple(controls)
             bits = [operator.index(p) for _, p in ctrls]
-        except TypeError:
-            bits = None
+        except (TypeError, ValueError):  # not (qubit, polarity) pairs
+            ctrls, bits = controls, None
         if bits is None or not set(bits) <= {0, 1}:
             raise DomainError(f"control polarities must be 0 or 1: {ctrls}")
         self._validate([q for q, _ in ctrls], target, [sum([b << j for j, b in enumerate(bits)])],
@@ -209,7 +209,7 @@ class ControlledGate:
     def _validate(self, wires, target, pattern, stack) -> "ControlledGate":
         """Check every field of a controlled gate and set it, returning the
         gate: the one validation that both constructors run."""
-        qubits = _check_qubits((*wires, target))
+        qubits = _check_qubits((*wires, target) if np.iterable(wires) else wires)
         c = len(qubits) - 1
         if c > MAX_CONTROLS:
             raise DomainError(f"{c} controls exceed the limit of {MAX_CONTROLS}")
@@ -329,16 +329,19 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
 
     The block is viewed as a [2]*n + [B] tensor whose axis n-1-q is qubit
     q. Every gate updates it through one scratch buffer, allocated once per
-    call (see _scratch_amps), on one of two paths:
+    call (see _scratch_amps), on one of three paths:
     - A local gate, or a controlled gate without controls, on adjacent
       qubits is _apply_local: one matmul per contiguous chunk.
+    - A controlled gate on wires 0..target-1 in order, as a cascade level,
+      is one _apply_cascade step while a pair of amplitudes across all B
+      columns fits in half a scratch.
     - Every other gate is one strided _apply_step: a local gate on
       non-adjacent qubits, or a controlled gate with its stack and the
       bits of its pattern array as polarity rows, all its branches in one
       step.
     Phase-on-zero gates scale one entry. Peak memory is the block and the
-    scratch; a step of several branches adds its gathered amplitude pairs,
-    at most half a scratch at a time.
+    scratch; a strided step of several branches adds its gathered
+    amplitude pairs, at most half a scratch at a time.
     """
     if not block.shape[1]:
         return block
@@ -349,6 +352,9 @@ def _run_gates(gates, n: int, block: np.ndarray) -> np.ndarray:
             t[(0,) * n] *= np.exp(1j * gate.w)
             continue
         if isinstance(gate, ControlledGate) and gate.wires:
+            if gate.wires == tuple(range(gate.target)) and 4 * block.shape[1] <= scratch.size:
+                _apply_cascade(block, gate, scratch)
+                continue
             rows = (gate.pattern[:, None] >> np.arange(len(gate.wires))) & 1
             _apply_step(t, n, gate.wires, (gate.target,), gate.stack, rows, scratch)
             continue
@@ -454,10 +460,9 @@ def _apply_step(t: np.ndarray, n: int, controls, positions, stack: np.ndarray, p
     integer indices. The work runs in pieces of at most half a scratch:
     slabs of the axes behind the gate (_slabs), then groups of gates. One
     gate's slab is gathered into one half of the scratch, multiplied into
-    the other half with one matmul and copied back. A group of gates is
-    gathered with one advanced index (rows of `polarities`), multiplied
-    with one einsum into the scratch and scattered back; the gathered copy
-    is freed before the scatter.
+    the other half with one matmul and copied back. A group of 2x2 gates
+    is gathered with one advanced index (rows of `polarities`), multiplied
+    by _pair_product into the scratch and scattered back.
     """
     c, g, d = len(controls), len(positions), stack.shape[-1]
     front = [n - 1 - q for q in controls] + [n - 1 - q for q in reversed(positions)]
@@ -481,7 +486,42 @@ def _apply_step(t: np.ndarray, n: int, controls, positions, stack: np.ndarray, p
             m = stack[g0:g0 + group]
             out = scratch[:len(m) * per].reshape(m.shape[:1] + sub.shape[c:])
             pairs = tuple(polarities[g0:g0 + group].T)
-            sub[pairs] = np.einsum("gij,gj...->gi...", m, sub[pairs], out=out)
+            _pair_product(m, *(a.reshape(len(m), 2, -1).swapaxes(0, 1) for a in (sub[pairs], out)))
+            sub[pairs] = out
+
+
+def _apply_cascade(block: np.ndarray, gate: ControlledGate, scratch: np.ndarray) -> None:
+    """Apply a controlled gate on wires 0..target-1 in place to the (2**n, B)
+    block: on the contiguous (X, 2, 2**target, B) view a branch's pattern is
+    its index on the third axis. Chunks of rows of X, or of branches when
+    one row fills half a scratch, are gathered by np.take into one half of
+    the scratch, multiplied into the other and written back by one index."""
+    v = block.reshape(-1, 2, 1 << gate.target, block.shape[1])
+    half, per = scratch.size >> 1, 2 * block.shape[1]  # per: one branch's pair in one row
+    group = min(len(gate.pattern), half // per)
+    rows = half // (per * group)
+    for g0, x0 in product(range(0, len(gate.pattern), group), range(0, len(v), rows)):
+        p, m, part = gate.pattern[g0:g0 + group], gate.stack[g0:g0 + group], v[x0:x0 + rows]
+        shape = (len(part), 2, len(p), v.shape[3])
+        x, out = (scratch[h:h + prod(shape)].reshape(shape) for h in (0, half))
+        # np.take would copy the read-only patterns: it reads a copy in `out`,
+        # which the product overwrites; mode="clip" fills x without a buffer.
+        index = out.reshape(-1).view(np.int64)[:len(p)]
+        index[...] = p
+        np.take(part, index, axis=2, out=x, mode="clip")
+        part[:, :, p] = _pair_product(m, x, out)
+
+
+def _pair_product(m: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[..., i, g, :] = sum over j of m[g, i, j] * x[..., j, g, :] for the
+    (G, 2, 2) stack m and pairs x of shape (..., 2, G, C), in four products
+    with no temporaries: x is overwritten, out returned."""
+    c = m.T[..., None]  # c[j, i, g] = m[g, i, j]
+    np.multiply(x[..., :1, :, :], c[0], out=out)
+    np.multiply(x[..., 1, :, :], c[1, 0], out=x[..., 0, :, :])
+    x[..., 1, :, :] *= c[1, 1]
+    out += x
+    return out
 
 
 def _check_sim_cap(n: int) -> None:

@@ -341,15 +341,31 @@ def test_controlled_gates_record_wires_and_pattern(circuit, state, seed):
 
 
 @st.composite
+def cascade_levels(draw, n):
+    """A controlled gate with target t on the wires 0..t-1: all 2**t
+    branches, or some of them in any order, in the order the kernel's
+    cascade step takes (ascending), or permuted so that it must not; half
+    of them as a dagger, whose patterns run in reverse."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.integers(1, n - 1))
+    wires = list(range(t)) if draw(st.booleans()) else draw(st.permutations(range(t)))
+    patterns = np.arange(1 << t) if draw(st.booleans()) else rng.permutation(1 << t)[:draw(
+        st.integers(1, 1 << t))]
+    gate = ControlledGate.multiplexor(wires, t, patterns, np.array([haar_unitary(2, rng) for _ in patterns]))
+    return circuit_dagger(Circuit(n, (gate,))).gates[0] if draw(st.booleans()) else gate
+
+
+@st.composite
 def kernel_gates(draw, n):
     """A short gate list for the kernel: single gates from kernel_gate
     (local gates on every placement, controlled gates with and without
-    controls, phase-on-zero), runs of one-branch gates from kernel_run and
-    multi-branch gates from kernel_multiplexor."""
+    controls, phase-on-zero), runs of one-branch gates from kernel_run,
+    multi-branch gates from kernel_multiplexor and cascade-shaped gates
+    from cascade_levels."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     makers = (lambda: [kernel_gate(n, rng)], lambda: kernel_run(n, rng),
-              lambda: [kernel_multiplexor(n, rng)])
-    picks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=6))
+              lambda: [kernel_multiplexor(n, rng)], lambda: [draw(cascade_levels(n))] if n > 1 else [])
+    picks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
     return [g for pick in picks for g in makers[pick]()]
 
 
@@ -368,12 +384,39 @@ def test_run_gates_matches_oracle_product(data):
     assert got.shape == block.shape and got.flags.c_contiguous
     assert np.abs(got - want).max(initial=0.0) <= 1e-12
     # A 64-amplitude scratch cuts the same gates into slabs, column ranges
-    # and groups of gates; hypothesis rejects function-scoped fixtures, so
-    # the scratch size is patched here.
+    # and groups of gates, and cascade levels into chunks of rows or
+    # branches (2**n columns do not fit it and take the strided step);
+    # hypothesis rejects function-scoped fixtures, so the scratch size is
+    # patched here.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "_scratch_amps", lambda amps: 64)
         got = _run_gates(gate_list, n, block.copy())
     assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+
+def test_cascade_step_runs_in_row_and_branch_chunks():
+    # With a 64-amplitude scratch at n=6, a full level on target 1 runs in
+    # chunks of rows (16 rows, 8 or 2 at a time) and one on target 5 in
+    # chunks of branches (16 or 5 at a time), for 1 and 3 columns, each
+    # level and its dagger; each chunk is one np.take of its patterns.
+    rng = np.random.default_rng(20)
+    n = 6
+    levels = tuple(ControlledGate.multiplexor(range(t), t, rng.permutation(1 << t),
+                                              np.array([haar_unitary(2, rng) for _ in range(1 << t)]))
+                   for t in (1, 5))
+    chunks = {(1, 1): [2] * 2, (1, 3): [2] * 8, (5, 1): [16] * 2, (5, 3): [5] * 6 + [2]}
+    take, takes = np.take, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "_scratch_amps", lambda amps: 64)
+        mp.setattr(np, "take", lambda a, index, **kw: takes.append(index.size) or take(a, index, **kw))
+        for gate in levels + circuit_dagger(Circuit(n, levels)).gates:
+            oracle = gate_oracle(gate, n)
+            for cols in (1, 3):
+                block = rng.standard_normal((1 << n, cols)) + 1j * rng.standard_normal((1 << n, cols))
+                takes.clear()
+                got = _run_gates([gate], n, block.copy())
+                assert takes == chunks[gate.target, cols]
+                assert np.abs(got - oracle @ block).max() <= 1e-12
 
 
 @settings(PROPERTY, max_examples=30)

@@ -113,6 +113,14 @@ def test_gate_validation():
     assert gate.wires == (0,) and gate.target == 1 and type(gate.target) is int
     with pytest.raises(DomainError):
         Circuit(2, (LocalGate((5,), X),))  # out of range
+    # inputs of the wrong form: DomainError, not TypeError or ValueError
+    with pytest.raises(DomainError, match="gate qubits 5 must be"):
+        LocalGate(5, X)
+    with pytest.raises(DomainError, match="gate qubits 3 must be"):
+        ControlledGate.multiplexor(3, 0, [0], X[None])
+    for controls in ([(1,)], [(1, 0, 1)], 5):
+        with pytest.raises(DomainError, match="control polarities must be 0 or 1"):
+            ControlledGate(controls, 0, X)
     stack = np.array([X, X, X])
     ControlledGate.multiplexor((0, 2), 1, [3, 0, 1], stack)
     # each branch's defect is 6e-10, under the tolerance, though their sum is not
@@ -391,6 +399,17 @@ def test_kernel_peak_memory_is_block_plus_scratch():
     out, peak = traced_peak(lambda: apply_circuit(c, s))
     assert peak <= s.amps.nbytes + 24 * _scratch_amps(1 << n) + (64 << 10)
     assert np.linalg.norm(apply_circuit(circuit_dagger(c), out).amps - s.amps) <= 1e-12
+    # A full cascade level, 2**19 branches on wires 0..18, takes no more
+    # than the scratch; its dagger adds the reversed stack it builds.
+    z = rng.standard_normal((1 << n - 1, 2)) + 1j * rng.standard_normal((1 << n - 1, 2))
+    a0, a1 = (z / np.linalg.norm(z, axis=1, keepdims=True)).T
+    stack = np.stack([a0, -a1.conj(), a1, a0.conj()], axis=-1).reshape(-1, 2, 2)
+    level = Circuit(n, (ControlledGate.multiplexor(range(n - 1), n - 1, range(1 << n - 1), stack),))
+    out, peak = traced_peak(lambda: apply_circuit(level, s))
+    assert peak <= s.amps.nbytes + 16 * _scratch_amps(1 << n) + (64 << 10)
+    back, peak = traced_peak(lambda: apply_circuit(circuit_dagger(level), out))
+    assert peak <= s.amps.nbytes + 16 * _scratch_amps(1 << n) + stack.nbytes + (64 << 10)
+    assert np.linalg.norm(back.amps - s.amps) <= 1e-12
 
 
 def _controlled_wires(n, c, placement, rng):
