@@ -199,7 +199,8 @@ _TABLES = {
 def _sweep_values(spec: str):
     """(name, values) for name=start:stop:step, both ends included: a range
     for integer parameters, floats accumulated by step otherwise. Refused
-    before any value is built when it would hold more than SWEEP_CAP."""
+    before any value is built when it would hold no value (stop below
+    start) or more than SWEEP_CAP."""
     name, _, rng = spec.partition("=")
     parts = rng.split(":")
     if len(parts) != 3:
@@ -213,6 +214,8 @@ def _sweep_values(spec: str):
         raise DomainError(f"sweep ends must be finite, got {spec!r}")
     if not step > 0:
         raise DomainError("sweep step must be positive")
+    if stop < start:  # no value: the table would print no row
+        raise DomainError(f"sweep {spec!r} stops below its start")
     if not (stop - start) // step < SWEEP_CAP:
         raise DomainError(f"sweep {spec!r} has more than {SWEEP_CAP} values")
     if kind is int:

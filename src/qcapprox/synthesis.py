@@ -93,23 +93,43 @@ def _prepare_gates(amps: np.ndarray, n: int) -> list:
     array is the kept b and whose stack is their lifts. The gates are built
     unchecked: each lift is unitary by construction, the patterns are
     distinct and every wire lies below n.
+
+    Below the target the weights stay real. A lift's entries come out bit
+    for bit as from complex weights: a real level is multiplied by the
+    reciprocal weight, which is what complex division by a real weight
+    does, and the conjugates are taken on the complex stack, so a real
+    a0 gives the bottom-right entry -0.0 as its imaginary part.
     """
     levels = [np.asarray(amps, dtype=complex)]
     for _ in range(n):
         v = levels[-1]
         half = v.size // 2
-        levels.append(np.sqrt(np.abs(v[:half]) ** 2 + np.abs(v[half:]) ** 2).astype(complex))
+        levels.append(np.sqrt(np.abs(v[:half]) ** 2 + np.abs(v[half:]) ** 2))
     gates: list = []
     for l in range(1, n + 1):
         v, w = levels[n - l], levels[n - l + 1]
-        branches = np.flatnonzero(w.real >= BRANCH_TOL)
-        a0 = v[branches] / w[branches]
-        a1 = v[w.size + branches] / w[branches]
-        lifts = np.stack([a0, -a1.conj(), a1, a0.conj()], axis=-1).reshape(-1, 2, 2)
-        keep = np.abs(lifts - np.eye(2)).max(axis=(1, 2)) > IDENTITY_GATE_TOL
-        if not keep.any():
+        half = w.size
+        branches = np.flatnonzero(w >= BRANCH_TOL)
+        # Slices, not copies, when every branch carries weight (a Haar target).
+        b = slice(None) if branches.size == half else branches
+        low, high, w = v[:half][b], v[half:][b], w[b]
+        if l < n:  # real: complex division by a real w multiplies by 1 / w
+            w = 1.0 / w
+            a0, a1 = low * w, high * w
+        else:
+            a0, a1 = low / w, high / w
+        # max |lift - I| over its four entries, with no (G, 2, 2) temporary
+        keep = np.maximum(np.abs(a0 - 1), np.abs(a1)) > IDENTITY_GATE_TOL
+        count = np.count_nonzero(keep)
+        if not count:
             continue
-        lifts, kept = lifts[keep], branches[keep].astype(np.int64, copy=False)
+        kept = branches.astype(np.int64, copy=False)
+        if count < keep.size:
+            a0, a1, kept = a0[keep], a1[keep], kept[keep]
+        lifts = np.empty((len(kept), 2, 2), dtype=complex)
+        lifts[:, 0, 0], lifts[:, 1, 0] = a0, a1
+        np.conjugate(lifts[:, 0, 0], out=lifts[:, 1, 1])
+        np.negative(np.conjugate(lifts[:, 1, 0], out=lifts[:, 0, 1]), out=lifts[:, 0, 1])
         lifts.flags.writeable = kept.flags.writeable = False
         if l == 1:
             gates.append(LocalGate((0,), lifts[0]))

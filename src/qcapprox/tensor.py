@@ -494,8 +494,10 @@ def _apply_cascade(block: np.ndarray, gate: ControlledGate, scratch: np.ndarray)
     """Apply a controlled gate on wires 0..target-1 in place to the (2**n, B)
     block: on the contiguous (X, 2, 2**target, B) view a branch's pattern is
     its index on the third axis. Chunks of rows of X, or of branches when
-    one row fills half a scratch, are gathered by np.take into one half of
-    the scratch, multiplied into the other and written back by one index."""
+    one row fills half a scratch, whose patterns are consecutive (descending
+    in a dagger) are basic slices of the view, worked on in place; others
+    are gathered by np.take into one half of the scratch, multiplied into
+    the other and written back by one index."""
     v = block.reshape(-1, 2, 1 << gate.target, block.shape[1])
     half, per = scratch.size >> 1, 2 * block.shape[1]  # per: one branch's pair in one row
     group = min(len(gate.pattern), half // per)
@@ -506,7 +508,14 @@ def _apply_cascade(block: np.ndarray, gate: ControlledGate, scratch: np.ndarray)
         x, out = (scratch[h:h + prod(shape)].reshape(shape) for h in (0, half))
         # np.take would copy the read-only patterns: it reads a copy in `out`,
         # which the product overwrites; mode="clip" fills x without a buffer.
+        # The run test diffs the patterns into the same place.
         index = out.reshape(-1).view(np.int64)[:len(p)]
+        q = p if p[-1] >= p[0] else p[::-1]  # ascending if the chunk is a run
+        if q[-1] - q[0] == len(q) - 1 and (
+                len(q) == 1 or np.subtract(q[1:], q[:-1], out=index[1:]).min() > 0):
+            sub = part[:, :, q[0]:q[-1] + 1]  # a descending run takes its stack reversed
+            sub[...] = _pair_product(m if q is p else m[::-1], sub, out)
+            continue
         index[...] = p
         np.take(part, index, axis=2, out=x, mode="clip")
         part[:, :, p] = _pair_product(m, x, out)

@@ -348,6 +348,8 @@ def test_exit_code_domain_error(tmp_path, capsys):
         thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "k=1:x:1"],
         thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "b2:10:1"],  # no '='
         thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "b=2:10:0"],
+        thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "k=5:3:1"],  # stops below its start
+        thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "eps=0.3:0.1:0.1"],
         thm41 + ["--eps", "0.1", "--alpha", "0.5", "--sweep", "l=1:3:1"],  # not a thm41 parameter
         ["net", "--g", "1", "--delta", "1"],  # none of --count, --point, --nearest
         ["mc", "--experiment", "sphere-ball", "--eps", "0.5", "--samples", "10"],

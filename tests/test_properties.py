@@ -343,14 +343,17 @@ def test_controlled_gates_record_wires_and_pattern(circuit, state, seed):
 @st.composite
 def cascade_levels(draw, n):
     """A controlled gate with target t on the wires 0..t-1: all 2**t
-    branches, or some of them in any order, in the order the kernel's
-    cascade step takes (ascending), or permuted so that it must not; half
-    of them as a dagger, whose patterns run in reverse."""
+    branches, a run arange(a, b) of them, or some of them in any order; in
+    the order the kernel's cascade step takes (ascending), or permuted so
+    that it must not; half of them as a dagger, whose patterns run in
+    reverse. Runs are basic slices for the cascade step, whole or split
+    across its chunks."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t = draw(st.integers(1, n - 1))
     wires = list(range(t)) if draw(st.booleans()) else draw(st.permutations(range(t)))
-    patterns = np.arange(1 << t) if draw(st.booleans()) else rng.permutation(1 << t)[:draw(
-        st.integers(1, 1 << t))]
+    a = draw(st.integers(0, (1 << t) - 1))
+    patterns = draw(st.sampled_from((np.arange(1 << t), np.arange(a, draw(st.integers(a + 1, 1 << t))),
+                                     rng.permutation(1 << t)[:draw(st.integers(1, 1 << t))])))
     gate = ControlledGate.multiplexor(wires, t, patterns, np.array([haar_unitary(2, rng) for _ in patterns]))
     return circuit_dagger(Circuit(n, (gate,))).gates[0] if draw(st.booleans()) else gate
 
@@ -398,25 +401,37 @@ def test_cascade_step_runs_in_row_and_branch_chunks():
     # With a 64-amplitude scratch at n=6, a full level on target 1 runs in
     # chunks of rows (16 rows, 8 or 2 at a time) and one on target 5 in
     # chunks of branches (16 or 5 at a time), for 1 and 3 columns, each
-    # level and its dagger; each chunk is one np.take of its patterns.
+    # level and its dagger. A chunk of consecutive patterns, as in every
+    # level on target 1 and in arange(32) and its dagger, is a slice of the
+    # state and takes no np.take; a permuted level gathers each chunk with
+    # one, as does `swapped`, whose chunks are no runs though some, such as
+    # 0, 2, 1, 3, 4, have a run's ends.
     rng = np.random.default_rng(20)
     n = 6
-    levels = tuple(ControlledGate.multiplexor(range(t), t, rng.permutation(1 << t),
-                                              np.array([haar_unitary(2, rng) for _ in range(1 << t)]))
-                   for t in (1, 5))
+    swapped = np.arange(32)
+    for i in (1, 6, 11, 16, 21, 26, 29):
+        swapped[[i, i + 1]] = swapped[[i + 1, i]]
+    levels = [(ControlledGate.multiplexor(range(t), t, patterns,
+                                          np.array([haar_unitary(2, rng) for _ in patterns])), gathers)
+              for t, patterns, gathers in ((1, rng.permutation(2), False), (5, np.arange(32), False),
+                                           (5, rng.permutation(32), True), (5, swapped, True))]
     chunks = {(1, 1): [2] * 2, (1, 3): [2] * 8, (5, 1): [16] * 2, (5, 3): [5] * 6 + [2]}
-    take, takes = np.take, []
+    take, takes, pair, products = np.take, [], tensor._pair_product, []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "_scratch_amps", lambda amps: 64)
         mp.setattr(np, "take", lambda a, index, **kw: takes.append(index.size) or take(a, index, **kw))
-        for gate in levels + circuit_dagger(Circuit(n, levels)).gates:
-            oracle = gate_oracle(gate, n)
-            for cols in (1, 3):
-                block = rng.standard_normal((1 << n, cols)) + 1j * rng.standard_normal((1 << n, cols))
-                takes.clear()
-                got = _run_gates([gate], n, block.copy())
-                assert takes == chunks[gate.target, cols]
-                assert np.abs(got - oracle @ block).max() <= 1e-12
+        mp.setattr(tensor, "_pair_product", lambda m, x, out: products.append(len(m)) or pair(m, x, out))
+        for level, gathers in levels:
+            for gate in (level, circuit_dagger(Circuit(n, (level,))).gates[0]):
+                oracle = gate_oracle(gate, n)
+                for cols in (1, 3):
+                    block = rng.standard_normal((1 << n, cols)) + 1j * rng.standard_normal((1 << n, cols))
+                    takes.clear()
+                    products.clear()
+                    got = _run_gates([gate], n, block.copy())
+                    assert products == chunks[gate.target, cols]
+                    assert takes == (products if gathers else [])
+                    assert np.abs(got - oracle @ block).max() <= 1e-12
 
 
 @settings(PROPERTY, max_examples=30)

@@ -128,6 +128,69 @@ def test_prepare_gates_match_recursive_reference():
             assert np.abs(g.matrix - w.matrix).max() <= 1e-13
 
 
+def _stacked_prepare_levels(amps, n):
+    """(level, patterns, stack) for each level with a kept branch, from
+    complex weights, complex division and one np.stack of the four entries."""
+    levels = [np.asarray(amps, dtype=complex)]
+    for _ in range(n):
+        v = levels[-1]
+        half = v.size // 2
+        levels.append(np.sqrt(np.abs(v[:half]) ** 2 + np.abs(v[half:]) ** 2).astype(complex))
+    out = []
+    for l in range(1, n + 1):
+        v, w = levels[n - l], levels[n - l + 1]
+        branches = np.flatnonzero(w.real >= BRANCH_TOL)
+        a0, a1 = v[branches] / w[branches], v[w.size + branches] / w[branches]
+        lifts = np.stack([a0, -a1.conj(), a1, a0.conj()], axis=-1).reshape(-1, 2, 2)
+        keep = np.abs(lifts - np.eye(2)).max(axis=(1, 2)) > IDENTITY_GATE_TOL
+        if keep.any():
+            out.append((l, branches[keep], lifts[keep]))
+    return out
+
+
+def test_prepare_gates_stacks_match_complex_division_byte_for_byte():
+    # Real weights below the top level must round as complex division does
+    # and keep its zero signs (conj of a real a0 is -0.0 in the bottom-right
+    # imaginary part) and its complex dtype. Real-amplitude targets have
+    # real lifts on every level, the top one included.
+    rng = np.random.default_rng(21)
+    targets = []
+    for n in (1, 2, 3, 5, 8, 10):
+        real = rng.standard_normal(1 << n)
+        sparse = random_state(n, rng).amps.copy()
+        sparse[rng.random(1 << n) < 0.6] = 0.0  # zero-weight branches
+        sparse[0] = 1.0
+        basis = np.zeros(1 << n)
+        basis[rng.integers(0, 1 << n)] = 1.0
+        # 1j * real holds -0.0 real parts, where complex division and
+        # multiplication by the reciprocal give zeros of opposite sign.
+        for amps in (random_state(n, rng).amps, real, np.abs(real), 1j * real, sparse, sparse.real,
+                     basis):
+            targets.append(StateVec(n, amps / np.linalg.norm(amps)))
+    for u in targets:
+        got = _prepare_gates(u.amps, u.n)
+        want = _stacked_prepare_levels(u.amps, u.n)
+        assert len(got) == len(want)
+        for g, (l, pattern, stack) in zip(got, want):
+            if l == 1:
+                assert isinstance(g, LocalGate) and g.matrix.tobytes() == stack[0].tobytes()
+                continue
+            assert g.target == l - 1 and g.wires == tuple(range(l - 1))
+            assert g.pattern.dtype == np.int64 and g.pattern.tobytes() == pattern.tobytes()
+            assert g.stack.dtype == complex and g.stack.tobytes() == stack.tobytes()
+
+
+def test_prepare_gates_peak_memory():
+    # At n=20 the gates keep 4.5 states (stacks 4, patterns 0.5) and the
+    # real weights half a state; the top level's two lift columns and
+    # branch indices add about one more while its stack is filled.
+    n = 20
+    u = random_state(n, np.random.default_rng(22))
+    gates, peak = traced_peak(lambda: _prepare_gates(u.amps, n))
+    assert len(gates) == n
+    assert peak <= 6.5 * u.amps.nbytes
+
+
 def _assert_passes_public_checks(circuit):
     """The circuit, re-validated by Circuit, and each gate and each branch
     by its constructor; every matrix and pattern array read-only."""
